@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mna import StampedSystem
-from .transient import TimeGrid, Trajectory, integrate, dc_operating_point
+from .transient import (SolverError, StepFactors, TimeGrid, Trajectory,
+                        integrate, dc_operating_point)
 
 
 @dataclass(frozen=True)
@@ -67,41 +66,41 @@ class AdjointSolution:
     mu: np.ndarray               # (m_index+1, n), d lam / d t_m
 
 
+def backward_factor(sys: StampedSystem, factors: StepFactors, phi_k,
+                    t_k: float, k: int, dt: float):
+    """Factorization of the step matrix Jc/dt + Jg + G(g_k), with g_k the
+    device conductances at the forward state (phi_k, t_k).  A backward
+    adjoint step is the transposed solve ``.solve(rhs, trans=True)``."""
+    g = sys.conductance_at(phi_k, t_k)
+    try:
+        return factors.get(1.0 / dt, 1.0, g)
+    except SolverError as exc:
+        raise SolverError(exc.message, k, t_k, dof=exc.dof) from None
+
+
 class AdjointCache:
-    """Per-step linearized matrices and factorizations of the backward step
-    matrix (Jc/dt + Jg(t_k))^T, shared across analyzed instants."""
+    """Factorizations of the backward step matrices (Jc/dt + Jg(t_k))^T
+    along the forward trajectory, shared across analyzed instants.  Each
+    step maps to the factorization of its device conductances, so the cache
+    holds one factorization per distinct linearization."""
 
     def __init__(self, sys: StampedSystem, traj: Trajectory):
         self.sys = sys
         self.traj = traj
         self.dt = traj.grid.dt
-        self._matrices = {}
-        self._factors = {}
         self.JcT = sys.Jc.T.copy() if not sp.issparse(sys.Jc) else sys.Jc.T.tocsr()
-
-    def step_matrix(self, k: int):
-        A = self._matrices.get(k)
-        if A is None:
-            t_k = self.traj.times[k]
-            A = self.sys.conductance_at(self.traj.states[k], t_k)
-            self._matrices[k] = A
-        return A
+        self._times = traj.times
+        self._factors = StepFactors(sys)
+        self._by_step = {}
 
     def solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
         """Solve (Jc/dt + Jg(t_k))^T x = rhs; rhs may be (n,) or (n, m)."""
-        fac = self._factors.get(k)
+        fac = self._by_step.get(k)
         if fac is None:
-            B = (self.sys.Jc / self.dt + self.step_matrix(k))
-            if sp.issparse(B):
-                fac = spla.splu(sp.csc_matrix(B.T))
-            else:
-                fac = scipy.linalg.lu_factor(np.asarray(B).T)
-            self._factors[k] = fac
-        if sp.issparse(self.sys.Jc):
-            if rhs.ndim == 1:
-                return fac.solve(rhs)
-            return np.column_stack([fac.solve(rhs[:, j]) for j in range(rhs.shape[1])])
-        return scipy.linalg.lu_solve(fac, rhs)
+            fac = backward_factor(self.sys, self._factors, self.traj.states[k],
+                                  self._times[k], k, self.dt)
+            self._by_step[k] = fac
+        return fac.solve(rhs, trans=True)
 
 
 def solve_adjoint(sys: StampedSystem, traj: Trajectory, t_m: float, qoi: Qoi,

@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scheme", choices=("implicit_euler", "trapezoidal"),
                         default="implicit_euler")
         sp.add_argument("--out", type=Path, default=Path("."))
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("simulate", help="forward transient solve to CSV")
     common(sp)

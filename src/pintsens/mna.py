@@ -2,7 +2,11 @@
 
 Builds the DAE residual  Jc * dphi/dt + Jg * phi + i_nl(phi, t) - i_s(t) = 0
 from a parsed netlist.  Jc and Jg hold the constant linear stamps; diodes and
-PWM switches contribute through ``eval_nonlinear``.  Per-parameter derivative
+PWM switches contribute through ``eval_nonlinear``.  Device j stamps one
+conductance g[j] on the pattern of its two nodes, so every step matrix is
+coef_dt*Jc + coef_g*(Jg + G(g)) and depends on the state only through the
+device-conductance vector g.  ``stamp_linear`` compiles the device tables
+and the scatter positions of that matrix once.  Per-parameter derivative
 stamps dJc/dp and dJg/dp are kept as sparse triplets.
 """
 
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,14 +107,185 @@ class _Triplets:
                 np.asarray(self.cols, dtype=np.intp),
                 np.asarray(self.vals, dtype=float))
 
-    def matrix(self, n, dense):
+    def csr(self, n):
         rows, cols, vals = self.arrays()
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        return coo.toarray() if dense else coo.tocsr()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _row(dofs: DofMap, node: str):
     return None if node == "0" else dofs.node_index[node]
+
+
+def _accumulate(index, weights, length):
+    """Sum `weights` into `length` bins, in input order."""
+    return np.bincount(index, weights, minlength=length).astype(float, copy=False)
+
+
+_PAIR = np.array([1.0, -1.0])       # a device current enters row a, leaves row b
+_EMPTY = np.empty(0)
+_ZERO = np.zeros(1)
+
+
+@dataclass(frozen=True)
+class _Devices:
+    """Diodes, then switches, each in netlist order, compiled into flat
+    arrays.  Row n stands for ground: states are extended by one zero."""
+    a: np.ndarray                # (m,) terminal rows
+    b: np.ndarray
+    rows: np.ndarray             # (2m,) a_0, b_0, a_1, b_1, ...
+    n_diodes: int
+    i_s: np.ndarray              # diodes: saturation current, n * v_t
+    nvt: np.ndarray
+    g_on: np.ndarray             # switches: SwitchModel.conductance, per field
+    g_off: np.ndarray
+    rise: np.ndarray             # g_on - g_off
+    fall: np.ndarray             # g_off - g_on
+    period: np.ndarray
+    offset: np.ndarray
+    t_on: np.ndarray
+    t_fall_end: np.ndarray       # t_on + ramp
+    ramp: np.ndarray
+    ramped: np.ndarray           # ramp > 0
+    ramp_div: np.ndarray         # ramp, or 1 where there is none
+
+    @classmethod
+    def compile(cls, terminals, diodes, switches, n):
+        ab = np.array([(n if a is None else a, n if b is None else b)
+                       for a, b in terminals], dtype=np.intp).reshape(-1, 2)
+        i_s, nvt = np.array([(m.i_s, m.n * m.v_t) for m in diodes],
+                            dtype=float).reshape(-1, 2).T
+        r_on, r_off, period, duty, ramp, offset = np.array(
+            [(m.r_on, m.r_off, m.period, m.duty, m.ramp, m.offset)
+             for m in switches], dtype=float).reshape(-1, 6).T
+        g_on, g_off, t_on = 1.0 / r_on, 1.0 / r_off, duty * period
+        return cls(
+            a=ab[:, 0], b=ab[:, 1], rows=ab.ravel(), n_diodes=len(diodes),
+            i_s=i_s, nvt=nvt, g_on=g_on, g_off=g_off, rise=g_on - g_off,
+            fall=g_off - g_on, period=period, offset=offset, t_on=t_on,
+            t_fall_end=t_on + ramp, ramp=ramp, ramped=ramp > 0.0,
+            ramp_div=np.where(ramp > 0.0, ramp, 1.0))
+
+    def _voltages(self, phi):
+        ext = np.concatenate((phi, _ZERO))
+        return ext[self.a] - ext[self.b]
+
+    def _diode(self, v):
+        """Currents and conductances as diode_current, elementwise."""
+        x = v / self.nvt
+        if x.max() <= DIODE_EXP_CLAMP:                # none clamped
+            return self.i_s * np.expm1(x), self.i_s * np.exp(x) / self.nvt
+        xc = np.minimum(x, DIODE_EXP_CLAMP)
+        e = np.exp(xc)
+        cur = self.i_s * np.where(x > DIODE_EXP_CLAMP,
+                                  e * (1.0 + (x - DIODE_EXP_CLAMP)) - 1.0,
+                                  np.expm1(xc))
+        return cur, self.i_s * e / self.nvt
+
+    def _switch(self, t):
+        """Conductances as SwitchModel.conductance, elementwise."""
+        if not self.g_on.size:
+            return _EMPTY
+        tau = np.remainder(t - self.offset, self.period)
+        g = np.where(tau < self.t_on, self.g_on, self.g_off)
+        rising = tau < self.ramp
+        falling = (self.t_on <= tau) & (tau < self.t_fall_end)
+        if not (rising | falling).any():        # no switch inside a ramp
+            return g
+        g = np.where(falling & self.ramped,
+                     self.g_on + self.fall * ((tau - self.t_on) / self.ramp_div), g)
+        return np.where(rising & self.ramped,
+                        self.g_off + self.rise * (tau / self.ramp_div), g)
+
+    def currents(self, phi, t):
+        """Device currents (into a, out of b) and conductances at (phi, t)."""
+        v = self._voltages(phi)
+        nd = self.n_diodes
+        g_s = self._switch(t)
+        if not nd:
+            return g_s * v, g_s
+        cur_d, g_d = self._diode(v[:nd])
+        if not g_s.size:
+            return cur_d, g_d
+        return np.concatenate((cur_d, g_s * v[nd:])), np.concatenate((g_d, g_s))
+
+    def conductances(self, phi, t):
+        """Device conductances alone at (phi, t)."""
+        nd = self.n_diodes
+        g_d = self._diode(self._voltages(phi)[:nd])[1] if nd else _EMPTY
+        return np.concatenate((g_d, self._switch(t)))
+
+
+@dataclass(frozen=True)
+class _Scatter:
+    """Positions of every stamp in the data array of a step matrix: the
+    row-major (n, n) array when dense, else the CSC pattern that is the
+    union of Jc, Jg and the device stamps."""
+    n: int
+    dense: bool
+    indices: Optional[np.ndarray]    # CSC pattern, sparse only
+    indptr: Optional[np.ndarray]
+    jc: np.ndarray                   # Jc and Jg on the data array
+    jg: np.ndarray
+    dev_pos: np.ndarray              # device stamp entries: position,
+    dev_index: np.ndarray            # device, and +1 on the diagonal
+    dev_sign: np.ndarray             # or -1 off it
+
+    @classmethod
+    def compile(cls, n, dense, jc: _Triplets, jg: _Triplets, terminals):
+        dev = _Triplets()
+        for j, (a, b) in enumerate(terminals):
+            dev.add_pattern(a, b, j + 1)    # entry +-(j+1): device j, sign
+        dev_r, dev_c, dev_v = dev.arrays()
+        jc_r, jc_c, jc_v = jc.arrays()
+        jg_r, jg_c, jg_v = jg.arrays()
+        if dense:
+            indices = indptr = None
+            length = n * n
+
+            def pos(r, c):
+                return r * n + c
+        else:
+            keys = np.unique(np.concatenate((jc_c * n + jc_r, jg_c * n + jg_r,
+                                             dev_c * n + dev_r)))
+            indices = (keys % n).astype(np.int32)
+            indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+            length = keys.size
+
+            def pos(r, c):
+                return np.searchsorted(keys, c * n + r)
+        return cls(n=n, dense=dense, indices=indices, indptr=indptr,
+                   jc=_accumulate(pos(jc_r, jc_c), jc_v, length),
+                   jg=_accumulate(pos(jg_r, jg_c), jg_v, length),
+                   dev_pos=pos(dev_r, dev_c),
+                   dev_index=np.abs(dev_v).astype(np.intp) - 1,
+                   dev_sign=np.sign(dev_v))
+
+    def devices(self, g):
+        return _accumulate(self.dev_pos, g[self.dev_index] * self.dev_sign,
+                           self.jc.size)
+
+    def matrix(self, data):
+        if self.dense:
+            return data.reshape(self.n, self.n)
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+
+class DeviceJacobian:
+    """d i_nl / d phi of one evaluation, held as the device-conductance
+    vector ``g``: device j stamps g[j] on the two-terminal pattern of its
+    nodes.  ``todense`` scatters it into an (n, n) array."""
+
+    __slots__ = ("g", "_sys")
+
+    def __init__(self, g: np.ndarray, sys: "StampedSystem"):
+        self.g = g
+        self._sys = sys
+
+    def todense(self) -> np.ndarray:
+        scatter = self._sys._scatter
+        m = scatter.matrix(scatter.devices(self.g))
+        return m if scatter.dense else m.toarray()
 
 
 @dataclass
@@ -121,8 +297,8 @@ class StampedSystem:
     dense: bool
     dofs: DofMap
     _sources: list               # (kind, a, b, branch_row, waveform)
-    _diodes: list                # (a, b, DiodeModel)
-    _switches: list              # (a, b, SwitchModel)
+    _devices: _Devices
+    _scatter: _Scatter
     param_stamps: list           # ParamStamp per parameter id
     params: tuple
 
@@ -142,34 +318,23 @@ class StampedSystem:
 
     def eval_nonlinear(self, phi: np.ndarray, t: float):
         """Nonlinear/time-varying current i_nl(phi, t) and its Jacobian
-        d i_nl / d phi.  Nothing here depends on dphi/dt."""
-        i_nl = np.zeros(self.n)
-        tri = _Triplets()
-        for a, b, model in self._diodes:
-            va = phi[a] if a is not None else 0.0
-            vb = phi[b] if b is not None else 0.0
-            cur, g = diode_current(va - vb, model)
-            if a is not None:
-                i_nl[a] += cur
-            if b is not None:
-                i_nl[b] -= cur
-            tri.add_pattern(a, b, g)
-        for a, b, model in self._switches:
-            g = model.conductance(t)
-            va = phi[a] if a is not None else 0.0
-            vb = phi[b] if b is not None else 0.0
-            cur = g * (va - vb)
-            if a is not None:
-                i_nl[a] += cur
-            if b is not None:
-                i_nl[b] -= cur
-            tri.add_pattern(a, b, g)
-        return i_nl, tri.matrix(self.n, self.dense)
+        d i_nl / d phi as a DeviceJacobian.  Nothing here depends on
+        dphi/dt."""
+        cur, g = self._devices.currents(phi, t)
+        i_nl = _accumulate(self._devices.rows, (cur[:, None] * _PAIR).ravel(),
+                           self.n + 1)[: self.n]
+        return i_nl, DeviceJacobian(g, self)
 
-    def conductance_at(self, phi: np.ndarray, t: float):
-        """Linearized system matrix Jg + d i_nl/d phi at (phi, t)."""
-        _, dnl = self.eval_nonlinear(phi, t)
-        return self.Jg + dnl
+    def conductance_at(self, phi: np.ndarray, t: float) -> np.ndarray:
+        """Device conductances g at (phi, t): the linearized system matrix
+        there is Jg + G(g), see ``step_matrix``."""
+        return self._devices.conductances(phi, t)
+
+    def step_matrix(self, coef_dt: float, coef_g: float, g: np.ndarray):
+        """coef_dt*Jc + coef_g*(Jg + G(g)), scattered into an ndarray when
+        dense, else into a CSC matrix on the precomputed pattern."""
+        s = self._scatter
+        return s.matrix(coef_dt * s.jc + coef_g * (s.jg + s.devices(g)))
 
 
 def diode_current(v: float, model: DiodeModel):
@@ -188,7 +353,7 @@ def diode_current(v: float, model: DiodeModel):
 
 
 def stamp_linear(netlist: Netlist, dofs: DofMap) -> StampedSystem:
-    """Assemble the constant stamps and device callback tables."""
+    """Assemble the constant stamps and compile the device tables."""
     n = dofs.n_dofs
     dense = n < DENSE_LIMIT
     jc = _Triplets()
@@ -223,10 +388,17 @@ def stamp_linear(netlist: Netlist, dofs: DofMap) -> StampedSystem:
         elif e.kind == "S":
             switches.append((a, b, e.value))
 
+    terminals = [(a, b) for a, b, _ in diodes + switches]
+    devices = _Devices.compile(terminals, [m for _, _, m in diodes],
+                               [m for _, _, m in switches], n)
+    scatter = _Scatter.compile(n, dense, jc, jg, terminals)
+    if dense:       # the scatter data are the row-major matrices
+        Jc, Jg = scatter.jc.reshape(n, n), scatter.jg.reshape(n, n)
+    else:
+        Jc, Jg = jc.csr(n), jg.csr(n)
     stamps = [_param_stamp(netlist, dofs, p) for p in netlist.params]
-    return StampedSystem(n=n, Jc=jc.matrix(n, dense), Jg=jg.matrix(n, dense),
-                         dense=dense, dofs=dofs, _sources=sources,
-                         _diodes=diodes, _switches=switches,
+    return StampedSystem(n=n, Jc=Jc, Jg=Jg, dense=dense, dofs=dofs,
+                         _sources=sources, _devices=devices, _scatter=scatter,
                          param_stamps=stamps, params=netlist.params)
 
 

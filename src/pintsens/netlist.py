@@ -287,6 +287,8 @@ def _parse_element(tokens, line):
             raise NetlistError(f"nonpositive switch resistance for {name!r}", line)
         if model.r_off <= model.r_on:
             raise NetlistError(f"R_off must exceed R_on for {name!r}", line)
+        if model.period <= 0:
+            raise NetlistError(f"nonpositive switch period for {name!r}", line)
         if not (0.0 <= model.duty <= 1.0):
             raise NetlistError(f"duty outside [0, 1] for {name!r}", line)
         return Element(name, kind, (a, b), model)

@@ -12,13 +12,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .adjoint import AdjointSolution, Qoi
+from .adjoint import AdjointSolution, Qoi, backward_factor
 from .mna import StampedSystem
-from .transient import TimeGrid, Trajectory, integrate
+from .transient import StepFactors, TimeGrid, Trajectory, integrate
 
 
 def _coarse_substeps(length: float, dt_fine: float, stride: int) -> int:
@@ -59,17 +56,6 @@ class CoarseForwardPropagator:
         return traj.states[-1], None
 
 
-def _backward_step_solve(sys, A, dt, rhs):
-    """Solve (Jc/dt + A)^T x = rhs for one or two right-hand sides."""
-    B = sys.Jc / dt + A
-    if sp.issparse(B):
-        fac = spla.splu(sp.csc_matrix(B.T))
-        if rhs.ndim == 1:
-            return fac.solve(rhs)
-        return np.column_stack([fac.solve(rhs[:, j]) for j in range(rhs.shape[1])])
-    return scipy.linalg.solve(np.asarray(B).T, rhs)
-
-
 class FineAdjointPropagator:
     """Full-resolution backward steps for the stacked [lam; mu] state on the
     reversed axis; linearization matrices come from the forward trajectory."""
@@ -94,10 +80,13 @@ class FineAdjointPropagator:
         states = np.empty((steps + 1, 2 * n))
         states[0] = state
         JcT = sys.Jc.T
+        grid_times = grid.times
+        factors = StepFactors(sys)
         for j, k in enumerate(range(k_hi - 1, k_lo - 1, -1)):
-            A = sys.conductance_at(self.traj.states[k], grid.times[k])
+            fac = backward_factor(sys, factors, self.traj.states[k],
+                                  grid_times[k], k, dt)
             rhs = np.column_stack([JcT @ lam / dt - self.e_u, JcT @ mu / dt])
-            sol = _backward_step_solve(sys, A, dt, rhs)
+            sol = fac.solve(rhs, trans=True)
             lam, mu = sol[:, 0], sol[:, 1]
             states[j + 1] = np.concatenate([lam, mu])
         times = s_start + dt * np.arange(steps + 1)
@@ -126,12 +115,15 @@ class CoarseAdjointPropagator:
         mu = np.asarray(state[n:], dtype=float)
         JcT = sys.Jc.T
         last_index = grid.n_steps
+        grid_times = grid.times
+        factors = StepFactors(sys)
         for j in range(1, n_sub + 1):
             t = self.t_m - (s_start - grid.t0 + j * dt_c)
             k = min(max(int(round((t - grid.t0) / grid.dt)), 0), last_index)
-            A = sys.conductance_at(self.traj.states[k], grid.times[k])
+            fac = backward_factor(sys, factors, self.traj.states[k],
+                                  grid_times[k], k, dt_c)
             rhs = np.column_stack([JcT @ lam / dt_c - self.e_u, JcT @ mu / dt_c])
-            sol = _backward_step_solve(sys, A, dt_c, rhs)
+            sol = fac.solve(rhs, trans=True)
             lam, mu = sol[:, 0], sol[:, 1]
         return np.concatenate([lam, mu]), None
 
@@ -187,8 +179,9 @@ def parareal_adjoint_solve(sys: StampedSystem, traj: Trajectory, t_m: float,
         return adj, PararealReport(n_subintervals=cfg.n_subintervals)
 
     # one fine step fixes lam(t_{m-1}) and with it mu(t_m) = lam(t_{m-1})/dt
-    A = sys.conductance_at(traj.states[m - 1], grid.times[m - 1])
-    lam_prev = _backward_step_solve(sys, A, dt, -e_u)
+    fac = backward_factor(sys, StepFactors(sys), traj.states[m - 1],
+                          grid.times[m - 1], m - 1, dt)
+    lam_prev = fac.solve(-e_u, trans=True)
     x0 = np.concatenate([np.zeros(n), lam_prev / dt])
 
     sigma_grid = TimeGrid(grid.t0, grid.t0 + (t_m - grid.t0), dt)

@@ -81,6 +81,13 @@ class TestParsing:
         with pytest.raises(NetlistError):
             parse_netlist(RC_TEXT.replace(".tran 1e-5 5e-3", ".tran -1 5e-3"))
 
+    def test_nonpositive_switch_period_rejected(self):
+        for period in ("0", "-1e-5"):
+            text = RC_TEXT.replace("R1 in out 1e3",
+                                   f"S1 in out 0.1 1e6 {period} 0.5")
+            with pytest.raises(NetlistError, match="period"):
+                parse_netlist(text)
+
     def test_sens_directive(self):
         text = RC_TEXT.replace(".end", ".sens 1e-3 2e-3 out\n.end")
         d = parse_netlist(text).directives

@@ -1,10 +1,17 @@
 """Transient integration: grids, schemes, accuracy orders, invariants."""
 
+import importlib.util
+import sys as _sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pintsens import (TimeGrid, parse_netlist, assemble, dc_operating_point,
-                      integrate, SolverError)
+                      integrate, SolverError, builtin_circuit, partition)
+from pintsens import mna
+from pintsens.cli import main
+from pintsens.propagators import _coarse_substeps
 
 
 RC_TEXT = """* rc charge
@@ -49,6 +56,34 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, -1e-3)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0.0, 1e-3)
+
+    def test_span_must_be_whole_steps(self):
+        with pytest.raises(ValueError, match="whole steps"):
+            TimeGrid(0.0, 1.0, 0.4)       # would end at 0.8
+        with pytest.raises(ValueError, match="whole steps"):
+            TimeGrid(0.0, 1e-3, 3e-3)     # not even one step
+
+    def test_fixture_benchmark_and_propagator_grids_construct(self, monkeypatch):
+        """The builtin fixtures, every benchmark workload, and the fine,
+        coarse and sigma grids that the propagators cut from them."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(_sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        cases = [(name, {}) for name in ("half_wave_rectifier", "b6_bridge_reduced")]
+        cases += [(w.circuit, w.options) for w in workloads.WORKLOADS.values()]
+        for name, options in cases:
+            d = builtin_circuit(name, **options).directives
+            grid = TimeGrid(0.0, d.t_end, d.dt)
+            for n in (2, 3, 8):
+                for t_start, t_end, _, _ in partition(grid, n):
+                    TimeGrid(t_start, t_end, grid.dt)
+                    for stride in (25, 100):
+                        sub = _coarse_substeps(t_end - t_start, grid.dt, stride)
+                        TimeGrid(t_start, t_end, (t_end - t_start) / sub)
+            for t_m in grid.times[1:]:
+                TimeGrid(grid.t0, grid.t0 + (t_m - grid.t0), grid.dt)
 
 
 class TestDcOperatingPoint:
@@ -179,3 +214,53 @@ class TestCsv:
         assert row[0] == grid.times[-1]
         col = header.index(f"v(out)")
         assert row[col] == traj.states[-1, sys.dofs.node_index["out"]]
+
+
+FLOATING = """* resistor island with no path to ground
+V1 in 0 DC 1
+R1 in 0 1e3
+R2 x y 1e3
+R3 x y 2e3
+.tran 1e-6 1e-5
+.end
+"""
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+class TestSolverErrors:
+    def test_singular_step_names_step_time_and_dof(self):
+        sys = assemble(parse_netlist(FLOATING))
+        with pytest.raises(SolverError) as info:
+            integrate(sys, np.zeros(sys.n), TimeGrid(0.0, 1e-5, 1e-6))
+        err = info.value
+        assert err.step == 1
+        assert err.t == pytest.approx(1e-6)
+        assert err.dof == "v(y)"
+        assert err.residual == pytest.approx(1.0)     # the source row
+        message = str(err)
+        for part in ("step 1", "t=1e-06", "singular", "v(y)"):
+            assert part in message, message
+
+    def test_singular_sparse_step_names_step_and_time(self, monkeypatch):
+        monkeypatch.setattr(mna, "DENSE_LIMIT", 1)
+        sys = assemble(parse_netlist(FLOATING))
+        assert not sys.dense
+        with pytest.raises(SolverError, match="step 1, t=1e-06: singular"):
+            integrate(sys, np.zeros(sys.n), TimeGrid(0.0, 1e-5, 1e-6))
+
+    def test_singular_dc_point_exits_with_solver_failure(self, tmp_path, capsys):
+        path = tmp_path / "floating.cir"
+        path.write_text(FLOATING)
+        assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        assert "DC operating point" in err and "v(y)" in err
+
+    def test_newton_failure_names_worst_residual_dof(self):
+        sys, grid, x0 = rc_setup(1e-5)
+        with pytest.raises(SolverError, match="did not converge") as info:
+            integrate(sys, x0, grid, max_iter=1)
+        err = info.value
+        assert (err.step, err.dof) == (1, "v(out)")
+        assert err.t == pytest.approx(1e-5)
+        assert err.residual == pytest.approx(1e-3)    # current into the capacitor
