@@ -167,25 +167,30 @@ def test_criterion_5_fine_time_scaling():
     grid = TimeGrid(0.0, nl.directives.t_end, nl.directives.dt)
     x0 = dc_operating_point(sys, 0.0)
 
-    fine_means, coarse_per_sub = {}, {}
-    for n in (2, 4, 8):
-        best_fine, best_coarse = np.inf, np.inf
-        for _ in range(3):     # min-of-repetitions to damp timer noise
+    # The N values are measured in interleaved rounds, and each ratio is the
+    # median over rounds of the ratio within one round: the host's speed
+    # drifts by tens of percent over seconds, so N values timed in separate
+    # blocks would see different machines.
+    ns = (2, 4, 8)
+    fine = {n: [] for n in ns}
+    coarse = {n: [] for n in ns}
+    for _ in range(5):
+        for n in ns:
             cfg = PararealConfig(n_subintervals=n, tol=0.0, max_iter=1,
                                  coarse_stride=100)
             _, rep = parareal_integrate(sys, x0, grid, cfg)
-            best_fine = min(best_fine, float(np.mean(rep.fine_times_s)))
+            fine[n].append(float(np.mean(rep.fine_times_s)))
             # coarse_time_s spans the seed sweep plus one update sweep
-            best_coarse = min(best_coarse, rep.coarse_time_s / 2.0)
-        fine_means[n] = best_fine
+            coarse[n].append(rep.coarse_time_s / 2.0)
+    fine = {n: np.array(v) for n, v in fine.items()}
+
+    assert np.median(fine[4] / fine[2]) == pytest.approx(0.5, rel=0.3)
+    assert np.median(fine[8] / fine[4]) == pytest.approx(0.5, rel=0.3)
+    for n in ns:
         # the per-subinterval share of the serial coarse sweep, the quantity
         # the reference table lists next to the per-subinterval fine time
-        coarse_per_sub[n] = best_coarse / n
-
-    assert fine_means[4] / fine_means[2] == pytest.approx(0.5, rel=0.3)
-    assert fine_means[8] / fine_means[4] == pytest.approx(0.5, rel=0.3)
-    for n in (2, 4, 8):
-        assert coarse_per_sub[n] <= 0.05 * fine_means[n]
+        coarse_per_sub = min(coarse[n]) / n
+        assert coarse_per_sub <= 0.05 * fine[n].min()
 
 
 # ---------------------------------------------------------------------------
