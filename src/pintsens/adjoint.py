@@ -11,6 +11,12 @@ sensitivity at the analyzed instant t_m weights them with mu = d lam / d t_m,
 which solves the homogeneous transposed DAE backward from t_m with terminal
 data taken from the first implicit backward step of lam.  A finite-difference
 route in t_m ships as the reference for mu.
+
+``solve_adjoint`` solves for one instant and keeps lam and mu at every step.
+``sensitivity_series`` runs one backward sweep for all analyzed instants: mu
+is homogeneous below t_m, so the instants share each step's factorization as
+columns of one block right-hand side, and the quadrature is accumulated as
+the sweep goes.
 """
 
 from __future__ import annotations
@@ -78,17 +84,22 @@ def backward_factor(sys: StampedSystem, factors: StepFactors, phi_k,
         raise SolverError(exc.message, k, t_k, dof=exc.dof) from None
 
 
+def _jc_transposed(sys: StampedSystem):
+    return sys.Jc.T.tocsr() if sp.issparse(sys.Jc) else sys.Jc.T.copy()
+
+
 class AdjointCache:
     """Factorizations of the backward step matrices (Jc/dt + Jg(t_k))^T
-    along the forward trajectory, shared across analyzed instants.  Each
-    step maps to the factorization of its device conductances, so the cache
-    holds one factorization per distinct linearization."""
+    along the forward trajectory, shared by the ``solve_adjoint`` calls
+    given the same cache.  Each step maps to the factorization of its
+    device conductances, so the cache holds one factorization per distinct
+    linearization."""
 
     def __init__(self, sys: StampedSystem, traj: Trajectory):
         self.sys = sys
         self.traj = traj
         self.dt = traj.grid.dt
-        self.JcT = sys.Jc.T.copy() if not sp.issparse(sys.Jc) else sys.Jc.T.tocsr()
+        self.JcT = _jc_transposed(sys)
         self._times = traj.times
         self._factors = StepFactors(sys)
         self._by_step = {}
@@ -216,35 +227,99 @@ class SensitivitySeries:
                 f.write(",".join(f"{x:.17g}" for x in [t, *row]) + "\n")
 
 
+def _stamp_entries(sys, params):
+    """The derivative stamps of ``params`` folded onto their distinct
+    entries: rows, columns into the stacked state [phidot; phi] of length
+    2n, and the (entries, len(params)) matrix of summed stamp values."""
+    n2 = 2 * sys.n
+    keys, vals = [np.empty(0, np.intp)], [np.empty(0)]
+    owner = [np.empty(0, np.intp)]
+    for j, p in enumerate(params):
+        st = sys.param_stamps[p.id]
+        keys += [st.jc_rows * n2 + st.jc_cols,
+                 st.jg_rows * n2 + sys.n + st.jg_cols]
+        vals += [st.jc_vals, st.jg_vals]
+        owner.append(np.full(st.jc_vals.size + st.jg_vals.size, j))
+    entries, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.zeros((entries.size, len(params)))
+    np.add.at(values, (inverse, np.concatenate(owner)), np.concatenate(vals))
+    return entries // n2, entries % n2, values
+
+
+def _batched_pointwise(sys, traj, qoi: Qoi, steps, params) -> np.ndarray:
+    """Pointwise sensitivities at the ascending, distinct grid indices
+    ``steps`` from one backward sweep; row i belongs to steps[i].
+
+    Column i of the (n, M) block holds mu for steps[i].  It switches on at
+    step m_i - 1, where lam_{m_i-1} = A^{-T}(-e_U) gives mu_{m_i} =
+    lam_{m_i-1}/dt; below that every active column takes the same
+    homogeneous step as in ``solve_adjoint``.  The latest instants switch on
+    first, so the active columns are the block's last ones.  The trapezoid
+    quadrature of ``pointwise_sensitivity`` is summed per stamp entry as
+    the sweep goes, so no lam/mu history is kept."""
+    dt = traj.grid.dt
+    times = traj.times
+    e_u = qoi.vector(sys.dofs)
+    JcT = _jc_transposed(sys)
+    rows, cols, stamp_values = _stamp_entries(sys, params)
+    mu = np.zeros((sys.n, len(steps)), order="F")
+    acc = np.zeros((rows.size, len(steps)))
+
+    def accumulate(k, first, weights):
+        x = np.concatenate((traj.derivs[k], traj.states[k]))[cols]
+        acc[:, first:] += mu[rows, first:] * np.multiply.outer(x, weights)
+
+    factors = StepFactors(sys, keep=1)
+    first = len(steps)
+    for k in range(steps[-1] - 1, -1, -1):
+        fac = backward_factor(sys, factors, traj.states[k], times[k], k, dt)
+        weights = np.full(len(steps) - first, dt)
+        if first and steps[first - 1] == k + 1:
+            first -= 1
+            mu[:, first] = fac.solve(-e_u, trans=True) / dt
+            weights = np.concatenate(([0.5 * dt], weights))
+        accumulate(k + 1, first, weights)
+        mu[:, first:] = fac.solve(JcT @ mu[:, first:] / dt, trans=True)
+    accumulate(0, first, np.full(len(steps) - first, 0.5 * dt))
+    return acc.T @ stamp_values
+
+
 def sensitivity_series(sys, traj, qoi: Qoi, params=None, parallel=None,
                        workers: int = 1) -> SensitivitySeries:
-    """One adjoint solve + pointwise quadrature per analyzed instant.
+    """Pointwise sensitivities dU/dp(t_m) at every instant of ``qoi``.
 
-    ``parallel`` takes a PararealConfig to dispatch each backward solve
-    through the parallel-in-time orchestrator; the result is independent of
-    that choice up to the parareal tolerance.
+    Without ``parallel``, one backward sweep from the latest instant to t0
+    serves all instants: on each step one transposed solve with that
+    step's factorization advances the block of their mu columns, and the
+    quadrature is accumulated on the way.  The result equals
+    ``solve_adjoint`` + ``pointwise_sensitivity`` per instant up to
+    round-off.  ``parallel`` takes a PararealConfig to
+    run one backward solve per instant through the parallel-in-time
+    orchestrator instead; the result is independent of that choice up to
+    the parareal tolerance.  ``n_adjoint_solves`` counts the adjoint
+    problems solved, one per instant either way.  Instants must lie on the
+    grid; they are checked before anything is solved.
     """
     if params is None:
         params = sys.params
     if not len(qoi.instants):
         raise ValueError("qoi.instants is empty")
     instants = np.asarray(qoi.instants, dtype=float)
-    values = np.empty((len(instants), len(params)))
-    cache = AdjointCache(sys, traj)
+    steps = np.array([traj.grid.index_of(t) for t in instants], dtype=np.intp)
     reports = []
-    n_solves = 0
-    for i, t_m in enumerate(instants):
-        if parallel is None:
-            adj = solve_adjoint(sys, traj, t_m, qoi, cache)
-        else:
-            from .propagators import parareal_adjoint_solve
+    if parallel is None:
+        distinct, inverse = np.unique(steps, return_inverse=True)
+        values = _batched_pointwise(sys, traj, qoi, distinct, params)[inverse]
+    else:
+        from .propagators import parareal_adjoint_solve
+        values = np.empty((len(instants), len(params)))
+        for i, t_m in enumerate(instants):
             adj, report = parareal_adjoint_solve(sys, traj, t_m, qoi, parallel,
                                                  workers=workers)
             reports.append(report)
-        n_solves += 1
-        values[i] = pointwise_sensitivity(sys, traj, adj, params)
+            values[i] = pointwise_sensitivity(sys, traj, adj, params)
     return SensitivitySeries(instants, tuple(params), values,
-                             n_adjoint_solves=n_solves,
+                             n_adjoint_solves=len(instants),
                              parareal_reports=reports)
 
 
