@@ -10,8 +10,8 @@ from .adjoint import (Qoi, AdjointSolution, SensitivitySeries, solve_adjoint,
                       sensitivity_series, finite_difference_oracle,
                       finite_difference_series, mu_finite_difference, qoi_values)
 from .parareal import (Propagator, PararealConfig, PararealReport, partition,
-                       jump_norm, parareal_solve, make_circuit_propagators,
-                       parareal_integrate, parareal_adjoint_solve)
+                       jump_norm, parareal_solve)
+from .propagators import parareal_integrate, parareal_adjoint_solve
 from .spectral import (PowerSpectrum, welch_psd, rank_parameters,
                        normalize_relative, ranking_to_json)
 from .cli import speedup, efficiency, BenchRecord, run_bench, main

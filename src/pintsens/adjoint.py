@@ -21,14 +21,13 @@ the sweep goes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mna import StampedSystem
+from .mna import StampedSystem, assemble
 from .transient import (SolverError, StepFactors, TimeGrid, Trajectory,
                         integrate, dc_operating_point)
 
@@ -89,11 +88,11 @@ def _jc_transposed(sys: StampedSystem):
 
 
 class AdjointCache:
-    """Factorizations of the backward step matrices (Jc/dt + Jg(t_k))^T
-    along the forward trajectory, shared by the ``solve_adjoint`` calls
-    given the same cache.  Each step maps to the factorization of its
-    device conductances, so the cache holds one factorization per distinct
-    linearization."""
+    """Factorizations of the backward step matrices Jc/dt + Jg(t_k) along
+    the forward trajectory, shared by everything that solves backward on
+    it: the ``solve_adjoint`` calls given the same cache, and both parareal
+    propagators of one solve, on any number of threads.  The cache holds
+    one factorization per distinct (step width, linearization)."""
 
     def __init__(self, sys: StampedSystem, traj: Trajectory):
         self.sys = sys
@@ -102,16 +101,16 @@ class AdjointCache:
         self.JcT = _jc_transposed(sys)
         self._times = traj.times
         self._factors = StepFactors(sys)
-        self._by_step = {}
+
+    def factor(self, k: int, dt: Optional[float] = None):
+        """Factorization of Jc/dt + Jg(t_k), by default with the grid step;
+        a backward step is its transposed solve."""
+        return backward_factor(self.sys, self._factors, self.traj.states[k],
+                               self._times[k], k, self.dt if dt is None else dt)
 
     def solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
         """Solve (Jc/dt + Jg(t_k))^T x = rhs; rhs may be (n,) or (n, m)."""
-        fac = self._by_step.get(k)
-        if fac is None:
-            fac = backward_factor(self.sys, self._factors, self.traj.states[k],
-                                  self._times[k], k, self.dt)
-            self._by_step[k] = fac
-        return fac.solve(rhs, trans=True)
+        return self.factor(k).solve(rhs, trans=True)
 
 
 def solve_adjoint(sys: StampedSystem, traj: Trajectory, t_m: float, qoi: Qoi,
@@ -311,6 +310,9 @@ def sensitivity_series(sys, traj, qoi: Qoi, params=None, parallel=None,
         distinct, inverse = np.unique(steps, return_inverse=True)
         values = _batched_pointwise(sys, traj, qoi, distinct, params)[inverse]
     else:
+        # imported per call, not at load time: propagators imports this
+        # module, and a replaced propagators.parareal_adjoint_solve (a test
+        # double, the benchmark's recorder) must be the one called here
         from .propagators import parareal_adjoint_solve
         values = np.empty((len(instants), len(params)))
         for i, t_m in enumerate(instants):
@@ -337,7 +339,6 @@ def finite_difference_series(netlist, param, delta: float, qoi: Qoi,
     ``initial_state`` maps an assembled system to its start state; default is
     the DC operating point at t=0.
     """
-    from .mna import assemble
     if delta <= 0:
         raise ValueError("delta must be positive")
     d = netlist.directives

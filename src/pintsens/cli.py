@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjoint import (AdjointCache, Qoi, sensitivity_series, solve_adjoint,
-                      qoi_values)
+from .adjoint import Qoi, sensitivity_series, solve_adjoint
 from .mna import assemble
 from .netlist import NetlistError, builtin_circuit, parse_netlist
-from .parareal import PararealConfig, parareal_adjoint_solve
+from .parareal import PararealConfig
+from .propagators import parareal_adjoint_solve
 from .spectral import normalize_relative, rank_parameters, ranking_to_json, welch_psd
 from .transient import SolverError, TimeGrid, dc_operating_point, integrate
 

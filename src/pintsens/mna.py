@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .netlist import Netlist, Parameter, DiodeModel, SwitchModel
+from .netlist import Netlist, Parameter, DiodeModel
 
 DENSE_LIMIT = 100          # below this many DoFs matrices are plain ndarrays
 DIODE_EXP_CLAMP = 40.0     # linear extrapolation of the exponential beyond

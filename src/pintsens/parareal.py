@@ -54,7 +54,6 @@ class PararealReport:
     jump_history: list = field(default_factory=list)
     coarse_time_s: float = 0.0
     fine_times_s: list = field(default_factory=list)   # per-subinterval means
-    fine_times_by_iteration: list = field(default_factory=list)
     total_wall_s: float = 0.0
     converged: bool = True
     interface_states: list = field(default_factory=list)   # after final update
@@ -157,10 +156,11 @@ def parareal_solve(fine: Propagator, coarse: Propagator, x0, grid: TimeGrid,
 
     pieces = None
     converged = False
+    fine_sums = np.zeros(n)
     for _ in range(max_iter):
         starts = X[:-1]
         fine_ends, pieces, task_times = _run_fine(fine, starts, subs, workers)
-        report.fine_times_by_iteration.append(task_times)
+        fine_sums += task_times
 
         tic = time.perf_counter()
         X_new = [x0]
@@ -180,16 +180,9 @@ def parareal_solve(fine: Propagator, coarse: Propagator, x0, grid: TimeGrid,
 
     report.converged = converged or max_iter >= n  # exact after n sweeps
     report.interface_states = [x.copy() for x in X]
-    report.fine_times_s = list(np.mean(report.fine_times_by_iteration, axis=0)) \
-        if report.fine_times_by_iteration else []
+    report.fine_times_s = list(fine_sums / report.iterations) \
+        if report.iterations else []
     report.total_wall_s = time.perf_counter() - wall_start
     traj = _stitch(pieces, grid, subs, x0.shape[0]) if pieces is not None else None
     return traj, report
 
-
-# circuit-specific propagator factory lives in .propagators; re-exported here
-from .propagators import (  # noqa: E402,F401
-    make_circuit_propagators,
-    parareal_integrate,
-    parareal_adjoint_solve,
-)

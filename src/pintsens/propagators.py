@@ -1,10 +1,11 @@
 """Fine and coarse circuit propagators for the parallel-in-time solver.
 
 Forward propagators wrap the transient integrator at full resolution (fine)
-or with the timestep widened by the coarse stride (coarse).  Adjoint
-propagators evolve the stacked state [lam; mu] backward in time, expressed
+or with the timestep widened by the coarse stride (coarse).  The adjoint
+propagator evolves the stacked state [lam; mu] backward in time, expressed
 on the reversed axis sigma = t_m - t so the orchestrator always sees an
-initial value problem running left to right.
+initial value problem running left to right; the fine one is its stride-1
+case, and both take their step matrices from the solve's ``AdjointCache``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import warnings
 
 import numpy as np
 
-from .adjoint import AdjointSolution, Qoi, backward_factor
+from .adjoint import AdjointCache, AdjointSolution, Qoi
 from .mna import StampedSystem
-from .transient import StepFactors, TimeGrid, Trajectory, integrate
+from .parareal import PararealReport, parareal_solve
+from .transient import TimeGrid, Trajectory, integrate
 
 
 def _coarse_substeps(length: float, dt_fine: float, stride: int) -> int:
@@ -56,106 +58,61 @@ class CoarseForwardPropagator:
         return traj.states[-1], None
 
 
-class FineAdjointPropagator:
-    """Full-resolution backward steps for the stacked [lam; mu] state on the
-    reversed axis; linearization matrices come from the forward trajectory."""
-
-    def __init__(self, sys: StampedSystem, traj: Trajectory, t_m: float, qoi: Qoi):
-        self.sys = sys
-        self.traj = traj
-        self.t_m = t_m
-        self.e_u = qoi.vector(sys.dofs)
-        self.m_index = traj.grid.index_of(t_m)
-
-    def evolve(self, state, s_start, s_end):
-        sys = self.sys
-        grid = self.traj.grid
-        dt = grid.dt
-        n = sys.n
-        k_hi = self.m_index - int(round((s_start - grid.t0) / dt))
-        k_lo = self.m_index - int(round((s_end - grid.t0) / dt))
-        steps = k_hi - k_lo
-        lam = np.asarray(state[:n], dtype=float)
-        mu = np.asarray(state[n:], dtype=float)
-        states = np.empty((steps + 1, 2 * n))
-        states[0] = state
-        JcT = sys.Jc.T
-        grid_times = grid.times
-        factors = StepFactors(sys)
-        for j, k in enumerate(range(k_hi - 1, k_lo - 1, -1)):
-            fac = backward_factor(sys, factors, self.traj.states[k],
-                                  grid_times[k], k, dt)
-            rhs = np.column_stack([JcT @ lam / dt - self.e_u, JcT @ mu / dt])
-            sol = fac.solve(rhs, trans=True)
-            lam, mu = sol[:, 0], sol[:, 1]
-            states[j + 1] = np.concatenate([lam, mu])
-        times = s_start + dt * np.arange(steps + 1)
-        return states[-1], (times, states, None)
-
-
 class CoarseAdjointPropagator:
-    """Backward steps widened by the coarse stride; the linearization uses the
-    forward trajectory subsampled at the nearest fine grid point."""
+    """Backward implicit-Euler steps for the stacked [lam; mu] state on the
+    reversed axis, each about ``stride`` fine steps wide.  A step that ends
+    at fine grid point k is linearized there, as in ``solve_adjoint``; the
+    step matrices come from the solve's shared ``AdjointCache``."""
 
-    def __init__(self, sys: StampedSystem, traj: Trajectory, t_m: float,
-                 qoi: Qoi, stride: int):
-        self.sys = sys
-        self.traj = traj
-        self.t_m = t_m
-        self.e_u = qoi.vector(sys.dofs)
+    def __init__(self, cache: AdjointCache, m_index: int, e_u: np.ndarray,
+                 stride: int):
+        self.cache = cache
+        self.m_index = m_index
+        self.e_u = e_u
         self.stride = stride
 
     def evolve(self, state, s_start, s_end):
-        sys = self.sys
-        grid = self.traj.grid
-        n = sys.n
-        n_sub = _coarse_substeps(s_end - s_start, grid.dt, self.stride)
-        dt_c = (s_end - s_start) / n_sub
+        cache = self.cache
+        dt = cache.dt
+        t0 = cache.traj.grid.t0
+        n = cache.sys.n
+        k_hi = self.m_index - int(round((s_start - t0) / dt))
+        k_lo = self.m_index - int(round((s_end - t0) / dt))
+        steps = k_hi - k_lo
+        n_sub = _coarse_substeps(s_end - s_start, dt, self.stride)
+        dt_c = dt * (steps / n_sub)
+        ks = [k_hi - int(round(j * steps / n_sub)) for j in range(n_sub + 1)]
         lam = np.asarray(state[:n], dtype=float)
         mu = np.asarray(state[n:], dtype=float)
-        JcT = sys.Jc.T
-        last_index = grid.n_steps
-        grid_times = grid.times
-        factors = StepFactors(sys)
-        for j in range(1, n_sub + 1):
-            t = self.t_m - (s_start - grid.t0 + j * dt_c)
-            k = min(max(int(round((t - grid.t0) / grid.dt)), 0), last_index)
-            fac = backward_factor(sys, factors, self.traj.states[k],
-                                  grid_times[k], k, dt_c)
+        states = np.empty((n_sub + 1, 2 * n))
+        states[0] = state
+        JcT = cache.JcT
+        for j, k in enumerate(ks[1:], 1):
             rhs = np.column_stack([JcT @ lam / dt_c - self.e_u, JcT @ mu / dt_c])
-            sol = fac.solve(rhs, trans=True)
+            sol = cache.factor(k, dt_c).solve(rhs, trans=True)
             lam, mu = sol[:, 0], sol[:, 1]
-        return np.concatenate([lam, mu]), None
+            states[j] = np.concatenate([lam, mu])
+        times = s_start + dt * (k_hi - np.array(ks))
+        return states[-1], (times, states, None)
 
 
-def make_circuit_propagators(sys: StampedSystem, direction: str, stride: int,
-                             dt: float = None, scheme: str = "implicit_euler",
-                             traj: Trajectory = None, t_m: float = None,
-                             qoi: Qoi = None):
-    """Build the (fine, coarse) propagator pair for a circuit solve.
+class FineAdjointPropagator(CoarseAdjointPropagator):
+    """The stride-1 case: every fine step, so dt_c == dt and the recorded
+    states are the fine solution on the subinterval."""
 
-    direction 'forward' needs dt; direction 'adjoint' needs the forward
-    trajectory, the analyzed instant t_m and the QoI.
-    """
-    if direction == "forward":
-        if dt is None:
-            raise ValueError("forward propagators need the fine dt")
-        return (FineForwardPropagator(sys, dt, scheme),
-                CoarseForwardPropagator(sys, dt, stride, scheme))
-    if direction == "adjoint":
-        if traj is None or t_m is None or qoi is None:
-            raise ValueError("adjoint propagators need traj, t_m and qoi")
-        return (FineAdjointPropagator(sys, traj, t_m, qoi),
-                CoarseAdjointPropagator(sys, traj, t_m, qoi, stride))
-    raise ValueError(f"unknown direction {direction!r}")
+    # an attribute of its own, so that wrapping one class's evolve (timing
+    # fine and coarse apart) leaves the other's alone
+    evolve = CoarseAdjointPropagator.evolve
+
+    def __init__(self, cache: AdjointCache, m_index: int, e_u: np.ndarray):
+        super().__init__(cache, m_index, e_u, 1)
 
 
 def parareal_integrate(sys: StampedSystem, x0, grid: TimeGrid, cfg,
                        scheme: str = "implicit_euler", workers: int = 1):
     """Forward transient solve through the parareal orchestrator."""
-    from .parareal import parareal_solve
-    fine, coarse = make_circuit_propagators(sys, "forward", cfg.coarse_stride,
-                                            dt=grid.dt, scheme=scheme)
+    fine = FineForwardPropagator(sys, grid.dt, scheme)
+    coarse = CoarseForwardPropagator(sys, grid.dt, cfg.coarse_stride, scheme)
     return parareal_solve(fine, coarse, x0, grid, cfg, workers=workers)
 
 
@@ -164,29 +121,28 @@ def parareal_adjoint_solve(sys: StampedSystem, traj: Trajectory, t_m: float,
     """Backward adjoint solve for one analyzed instant through parareal.
 
     The stacked [lam; mu] state is propagated on the reversed time axis; the
-    terminal value of mu comes from one sequential fine step at t_m.
+    terminal value of mu comes from one sequential fine step at t_m.  The
+    activation step and both propagators share one ``AdjointCache``, so
+    each linearization is factorized once for all iterations.
     """
-    from .parareal import parareal_solve
     grid = traj.grid
     m = grid.index_of(t_m)
     n = sys.n
     dt = grid.dt
-    e_u = qoi.vector(sys.dofs)
     if m == 0:
         zeros = np.zeros((1, n))
         adj = AdjointSolution(t_m, 0, grid, zeros.copy(), zeros.copy())
-        from .parareal import PararealReport
         return adj, PararealReport(n_subintervals=cfg.n_subintervals)
 
+    cache = AdjointCache(sys, traj)
+    e_u = qoi.vector(sys.dofs)
     # one fine step fixes lam(t_{m-1}) and with it mu(t_m) = lam(t_{m-1})/dt
-    fac = backward_factor(sys, StepFactors(sys), traj.states[m - 1],
-                          grid.times[m - 1], m - 1, dt)
-    lam_prev = fac.solve(-e_u, trans=True)
+    lam_prev = cache.factor(m - 1).solve(-e_u, trans=True)
     x0 = np.concatenate([np.zeros(n), lam_prev / dt])
 
     sigma_grid = TimeGrid(grid.t0, grid.t0 + (t_m - grid.t0), dt)
-    fine, coarse = make_circuit_propagators(sys, "adjoint", cfg.coarse_stride,
-                                            traj=traj, t_m=t_m, qoi=qoi)
+    fine = FineAdjointPropagator(cache, m, e_u)
+    coarse = CoarseAdjointPropagator(cache, m, e_u, cfg.coarse_stride)
     stitched, report = parareal_solve(fine, coarse, x0, sigma_grid, cfg,
                                       workers=workers)
     # sigma-ordered rows back onto the forward grid: index k <-> sigma m-k

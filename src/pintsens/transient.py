@@ -8,7 +8,8 @@ difference-formula derivative, which the sensitivity integrals need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -98,12 +99,14 @@ class Trajectory:
 
 class _LU:
     """One LU factorization of a step matrix; solves with it or with its
-    transpose."""
+    transpose.  Threads may share one, but its solves take turns: scipy's
+    dense ``lu_solve`` shifts the pivot array in place during the call."""
 
-    __slots__ = ("_lu", "_dense")
+    __slots__ = ("_lu", "_dense", "_lock")
 
     def __init__(self, sys, A):
         self._dense = sys.dense
+        self._lock = threading.Lock()
         if sys.dense:
             lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True,
                                              check_finite=False)
@@ -120,31 +123,37 @@ class _LU:
 
     def solve(self, rhs, trans=False):
         """x with A x = rhs, or A^T x = rhs; rhs may be (n,) or (n, m)."""
-        if self._dense:
-            return scipy.linalg.lu_solve(self._lu, rhs, trans=int(trans),
-                                         check_finite=False)
-        return self._lu.solve(rhs, "T" if trans else "N")
+        with self._lock:
+            if self._dense:
+                return scipy.linalg.lu_solve(self._lu, rhs, trans=int(trans),
+                                             check_finite=False)
+            return self._lu.solve(rhs, "T" if trans else "N")
 
 
 class StepFactors:
     """Factorizations of the step matrices coef_dt*Jc + coef_g*(Jg + G(g))
     of one system, keyed on (coef_dt, coef_g, g): a factorization is reused
     for as long as the device conductances g stay the same.  Keeps the
-    ``keep`` most recent ones (all when None)."""
+    ``keep`` most recent ones (all when None).  Threads may share one: a
+    missing factorization is computed once, under a lock."""
 
     def __init__(self, sys, keep=None):
         self.sys = sys
         self.keep = keep
         self._factors = {}
+        self._lock = threading.Lock()
 
     def get(self, coef_dt: float, coef_g: float, g: np.ndarray) -> _LU:
         key = (coef_dt, coef_g, g.tobytes())
         fac = self._factors.get(key)
         if fac is None:
-            fac = _LU(self.sys, self.sys.step_matrix(coef_dt, coef_g, g))
-            if self.keep is not None and len(self._factors) >= self.keep:
-                del self._factors[next(iter(self._factors))]
-            self._factors[key] = fac
+            with self._lock:
+                fac = self._factors.get(key)
+                if fac is None:
+                    fac = _LU(self.sys, self.sys.step_matrix(coef_dt, coef_g, g))
+                    if self.keep is not None and len(self._factors) >= self.keep:
+                        del self._factors[next(iter(self._factors))]
+                    self._factors[key] = fac
         return fac
 
 

@@ -188,7 +188,46 @@ class TestCircuitForward:
         assert len(doc["fine_times_s"]) == 4
 
 
+def _gap(a, b):
+    return np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b)))
+
+
 class TestCircuitAdjoint:
+    T_M_INDEX = 3600
+
+    def run(self, rc_run, cfg, workers=1):
+        sys, grid, _, traj = rc_run
+        return parareal_adjoint_solve(sys, traj, grid.times[self.T_M_INDEX],
+                                      Qoi("out"), cfg, workers=workers)
+
+    def sequential(self, rc_run):
+        sys, grid, _, traj = rc_run
+        return solve_adjoint(sys, traj, grid.times[self.T_M_INDEX], Qoi("out"))
+
+    def test_full_sweeps_reach_machine_exactness(self, rc_run):
+        ref = self.sequential(rc_run)
+        cfg = PararealConfig(n_subintervals=4, tol=0.0, max_iter=4,
+                             coarse_stride=100)
+        adj, _ = self.run(rc_run, cfg)
+        assert _gap(adj.lam, ref.lam) <= 1e-12
+        assert _gap(adj.mu, ref.mu) <= 1e-12
+
+    def test_stride_one_coarse_equals_fine(self, rc_run):
+        ref = self.sequential(rc_run)
+        cfg = PararealConfig(n_subintervals=4, tol=1e-13, coarse_stride=1)
+        adj, rep = self.run(rc_run, cfg)
+        assert rep.iterations == 1
+        assert _gap(adj.lam, ref.lam) <= 1e-12
+        assert _gap(adj.mu, ref.mu) <= 1e-12
+
+    def test_worker_count_does_not_change_bits(self, rc_run):
+        cfg = PararealConfig(n_subintervals=6, tol=1e-8, coarse_stride=50)
+        a1, r1 = self.run(rc_run, cfg, workers=1)
+        a2, r2 = self.run(rc_run, cfg, workers=2)
+        assert np.array_equal(a1.lam, a2.lam)
+        assert np.array_equal(a1.mu, a2.mu)
+        assert r1.jump_history == r2.jump_history
+
     def test_matches_sequential_adjoint(self, rc_run):
         sys, grid, x0, traj = rc_run
         qoi = Qoi("out")

@@ -5,15 +5,20 @@ as the reference, the dense LU backend against the sparse one, and the
 factorization count against the number of distinct linearizations.
 """
 
+import threading
+from sys import getswitchinterval, setswitchinterval
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pintsens import (Qoi, TimeGrid, assemble, builtin_circuit,
-                      dc_operating_point, integrate, parse_netlist,
+from pintsens import (PararealConfig, Qoi, TimeGrid, assemble,
+                      builtin_circuit, dc_operating_point, integrate,
+                      parareal_adjoint_solve, parse_netlist, partition,
                       sensitivity_series)
 from pintsens import mna
 from pintsens.mna import StampedSystem, diode_current
+from pintsens.transient import StepFactors
 
 
 def _row(sys, node):
@@ -192,3 +197,74 @@ def test_diode_forward_factors_whenever_conductance_changes(
     assert len(conductance_vectors) == traj.newton_iters
     assert len(lu_factor_calls) == changes
     assert changes >= 0.7 * traj.newton_iters
+
+
+def test_parareal_adjoint_factors_each_linearization_once(lu_factor_calls):
+    """The activation step and both propagators of one parareal adjoint
+    solve share its AdjointCache, so later iterations refactorize nothing:
+    at most one factorization per fine step, one per coarse substep of an
+    iteration, and the activation step.  Two workers factorize exactly as
+    often as one."""
+    sys, grid, x0 = _forward("half_wave_rectifier",
+                             {"periods": 2.0, "dt": 1.6e-5})
+    traj = integrate(sys, x0, grid)
+    m = grid.n_steps // 2
+    cfg = PararealConfig(n_subintervals=8, tol=1e-7, coarse_stride=25)
+    counts = []
+    for workers in (1, 2):
+        lu_factor_calls.clear()
+        _, rep = parareal_adjoint_solve(sys, traj, grid.times[m], Qoi("out"),
+                                        cfg, workers=workers)
+        assert rep.iterations == 3
+        counts.append(len(lu_factor_calls))
+    sigma = TimeGrid(0.0, grid.times[m], grid.dt)
+    coarse = sum(max(1, round((k1 - k0) / cfg.coarse_stride))
+                 for *_, k0, k1 in partition(sigma, cfg.n_subintervals))
+    assert counts[0] == counts[1]
+    assert counts[0] <= m + coarse + 1
+
+
+def test_step_factors_are_safe_to_share_between_threads(lu_factor_calls):
+    """Eight threads look up and solve with the same three linearizations
+    in one StepFactors, with a short switch interval: each is factorized
+    once, every thread gets that one factorization, and every solve equals
+    the single-threaded one.  Five rounds, each on a fresh StepFactors,
+    because a race shows only on an unlucky thread switch."""
+    sys, _, x0 = _forward("half_wave_rectifier", {"periods": 1.0})
+    gs = [scale * sys.conductance_at(x0, 0.0) for scale in (1.0, 2.0, 3.0)]
+    rhs = np.arange(1.0, 1.0 + 2 * sys.n).reshape(sys.n, 2)
+    expected = {g.tobytes(): StepFactors(sys).get(1e6, 1.0, g)
+                .solve(rhs, trans=True).tobytes() for g in gs}
+
+    def round_():
+        factors = StepFactors(sys)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def work():
+            barrier.wait(timeout=10)
+            for g in gs * 200:
+                fac = factors.get(1e6, 1.0, g)
+                seen.append((g.tobytes(), id(fac),
+                             fac.solve(rhs, trans=True).tobytes()))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        return seen
+
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            lu_factor_calls.clear()
+            seen = round_()
+            assert len(seen) == 8 * 600
+            assert len(lu_factor_calls) == 3
+            assert len({(key, ident) for key, ident, _ in seen}) == 3
+            assert all(x == expected[key] for key, _, x in seen)
+    finally:
+        setswitchinterval(interval)
