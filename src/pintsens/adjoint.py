@@ -12,11 +12,11 @@ which solves the homogeneous transposed DAE backward from t_m with terminal
 data taken from the first implicit backward step of lam.  A finite-difference
 route in t_m ships as the reference for mu.
 
-``solve_adjoint`` solves for one instant and keeps lam and mu at every step.
-``sensitivity_series`` runs one backward sweep for all analyzed instants: mu
-is homogeneous below t_m, so the instants share each step's factorization as
-columns of one block right-hand side, and the quadrature is accumulated as
-the sweep goes.
+Every backward solve steps a block of adjoint columns with ``backward_steps``:
+``solve_adjoint`` the block [mu, lam] of one instant, keeping both at every
+step; the parareal adjoint propagators the same block over one subinterval;
+``sensitivity_series`` the mu columns of all analyzed instants in one sweep
+(mu is homogeneous below t_m), summing the quadrature as the sweep goes.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class AdjointSolution:
 def backward_factor(sys: StampedSystem, factors: StepFactors, phi_k,
                     t_k: float, k: int, dt: float):
     """Factorization of the step matrix Jc/dt + Jg + G(g_k), with g_k the
-    device conductances at the forward state (phi_k, t_k).  A backward
-    adjoint step is the transposed solve ``.solve(rhs, trans=True)``."""
+    device conductances at the forward state (phi_k, t_k); a backward
+    adjoint step solves with its transpose."""
     g = sys.conductance_at(phi_k, t_k)
     try:
         return factors.get(1.0 / dt, 1.0, g)
@@ -83,22 +83,18 @@ def backward_factor(sys: StampedSystem, factors: StepFactors, phi_k,
         raise SolverError(exc.message, k, t_k, dof=exc.dof) from None
 
 
-def _jc_transposed(sys: StampedSystem):
-    return sys.Jc.T.tocsr() if sp.issparse(sys.Jc) else sys.Jc.T.copy()
-
-
 class AdjointCache:
     """Factorizations of the backward step matrices Jc/dt + Jg(t_k) along
-    the forward trajectory, shared by everything that solves backward on
-    it: the ``solve_adjoint`` calls given the same cache, and both parareal
-    propagators of one solve, on any number of threads.  The cache holds
-    one factorization per distinct (step width, linearization)."""
+    the forward trajectory, for ``backward_steps``: one per distinct (step
+    width, linearization), shared by the ``solve_adjoint`` calls given the
+    same cache and by both parareal propagators of one solve, on any number
+    of threads.  The batched sweep's cache keeps only the last one."""
 
     def __init__(self, sys: StampedSystem, traj: Trajectory):
         self.sys = sys
         self.traj = traj
         self.dt = traj.grid.dt
-        self.JcT = _jc_transposed(sys)
+        self.JcT = sys.Jc.T.tocsr() if sp.issparse(sys.Jc) else sys.Jc.T.copy()
         self._times = traj.times
         self._factors = StepFactors(sys)
 
@@ -113,38 +109,53 @@ class AdjointCache:
         return self.factor(k).solve(rhs, trans=True)
 
 
+def backward_steps(cache: AdjointCache, X: np.ndarray, ks, dt_c: float,
+                   e_u: np.ndarray, instants=(), lam: bool = False):
+    """The backward adjoint step of every solve: steps the Fortran-ordered
+    (n, c) block X in place through the descending fine grid points ``ks``,
+    at step width ``dt_c``, each step linearized at its end point k:
+        (Jc/dt_c + Jg(t_k))^T X_k = Jc^T X_{k_prev}/dt_c - e_U,
+    the e_U term only on the last column, and only if ``lam`` makes it lam.
+    The first len(instants) columns are mu columns, off (zero, not stepped)
+    until their ascending grid indices ``instants``, where column i becomes
+    mu = A^{-T}(-e_U)/dt with A the fine step matrix below it.  Yields
+    (k, first) at every visited point once X[:, first:] holds the state
+    there, for the caller to record or to sum into a quadrature."""
+    JcT = cache.JcT
+    first = len(instants)
+    k_top = ks[0]
+    for k in ks[1:]:
+        fac = cache.factor(k, dt_c)
+        if first and instants[first - 1] == k_top:
+            first -= 1
+            X[:, first] = fac.solve(-e_u, trans=True) / cache.dt
+        yield k_top, first
+        rhs = JcT @ X[:, first:] / dt_c
+        if lam:
+            rhs[:, -1] -= e_u
+        X[:, first:] = fac.solve(rhs, trans=True)
+        k_top = k
+    yield k_top, first
+
+
 def solve_adjoint(sys: StampedSystem, traj: Trajectory, t_m: float, qoi: Qoi,
                   cache: Optional[AdjointCache] = None) -> AdjointSolution:
     """Backward implicit-Euler solve of the adjoint DAE for one instant.
 
     Step from t_{k+1} to t_k:
         (Jc/dt + Jg(t_k))^T lam_k = Jc^T lam_{k+1}/dt - e_U
-    and the homogeneous analogue for mu, with mu(t_m) = lam_{m-1}/dt.
+    and the homogeneous analogue for mu, with mu(t_m) = lam_{m-1}/dt; both
+    are the block [mu, lam] of ``backward_steps``.
     """
     grid = traj.grid
     m = grid.index_of(t_m)
     if cache is None:
         cache = AdjointCache(sys, traj)
-    n = sys.n
-    dt = grid.dt
-    e_u = qoi.vector(sys.dofs)
-
-    lam = np.zeros((m + 1, n))
-    mu = np.zeros((m + 1, n))
-    if m == 0:
-        return AdjointSolution(t_m, m, grid, lam, mu)
-
-    JcT = cache.JcT
-    # first backward step fixes lam_{m-1} and with it the terminal value of mu
-    lam[m - 1] = cache.solve(m - 1, JcT @ lam[m] / dt - e_u)
-    mu[m] = lam[m - 1] / dt
-    mu[m - 1] = cache.solve(m - 1, JcT @ mu[m] / dt)
-    for k in range(m - 2, -1, -1):
-        rhs = np.column_stack([JcT @ lam[k + 1] / dt - e_u,
-                               JcT @ mu[k + 1] / dt])
-        sol = cache.solve(k, rhs)
-        lam[k] = sol[:, 0]
-        mu[k] = sol[:, 1]
+    lam, mu = np.empty((2, m + 1, sys.n))
+    X = np.zeros((sys.n, 2), order="F")
+    for k, _ in backward_steps(cache, X, range(m, -1, -1), grid.dt,
+                               qoi.vector(sys.dofs), instants=(m,), lam=True):
+        mu[k], lam[k] = X.T
     return AdjointSolution(t_m, m, grid, lam, mu)
 
 
@@ -247,39 +258,28 @@ def _stamp_entries(sys, params):
 
 def _batched_pointwise(sys, traj, qoi: Qoi, steps, params) -> np.ndarray:
     """Pointwise sensitivities at the ascending, distinct grid indices
-    ``steps`` from one backward sweep; row i belongs to steps[i].
+    ``steps`` from one ``backward_steps`` sweep over [0, steps[-1]]; row i
+    belongs to steps[i].
 
-    Column i of the (n, M) block holds mu for steps[i].  It switches on at
-    step m_i - 1, where lam_{m_i-1} = A^{-T}(-e_U) gives mu_{m_i} =
-    lam_{m_i-1}/dt; below that every active column takes the same
-    homogeneous step as in ``solve_adjoint``.  The latest instants switch on
-    first, so the active columns are the block's last ones.  The trapezoid
-    quadrature of ``pointwise_sensitivity`` is summed per stamp entry as
-    the sweep goes, so no lam/mu history is kept."""
+    Column i of the (n, M) block holds mu for steps[i] and switches on
+    there; the latest instants switch on first, so the active columns are
+    the block's last ones.  The trapezoid quadrature of
+    ``pointwise_sensitivity`` is summed per stamp entry as the sweep goes,
+    so no lam/mu history is kept, and the cache keeps only the last
+    factorization."""
     dt = traj.grid.dt
-    times = traj.times
-    e_u = qoi.vector(sys.dofs)
-    JcT = _jc_transposed(sys)
     rows, cols, stamp_values = _stamp_entries(sys, params)
+    cache = AdjointCache(sys, traj)
+    cache._factors = StepFactors(sys, keep=1)
     mu = np.zeros((sys.n, len(steps)), order="F")
     acc = np.zeros((rows.size, len(steps)))
-
-    def accumulate(k, first, weights):
+    for k, first in backward_steps(cache, mu, range(steps[-1], -1, -1), dt,
+                                   qoi.vector(sys.dofs), instants=steps):
+        weights = np.full(len(steps) - first, 0.5 * dt if k == 0 else dt)
+        if k and steps[first] == k:
+            weights[0] = 0.5 * dt
         x = np.concatenate((traj.derivs[k], traj.states[k]))[cols]
         acc[:, first:] += mu[rows, first:] * np.multiply.outer(x, weights)
-
-    factors = StepFactors(sys, keep=1)
-    first = len(steps)
-    for k in range(steps[-1] - 1, -1, -1):
-        fac = backward_factor(sys, factors, traj.states[k], times[k], k, dt)
-        weights = np.full(len(steps) - first, dt)
-        if first and steps[first - 1] == k + 1:
-            first -= 1
-            mu[:, first] = fac.solve(-e_u, trans=True) / dt
-            weights = np.concatenate(([0.5 * dt], weights))
-        accumulate(k + 1, first, weights)
-        mu[:, first:] = fac.solve(JcT @ mu[:, first:] / dt, trans=True)
-    accumulate(0, first, np.full(len(steps) - first, 0.5 * dt))
     return acc.T @ stamp_values
 
 

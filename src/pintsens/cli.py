@@ -160,13 +160,16 @@ def _grid_from(netlist, args) -> TimeGrid:
     return TimeGrid(0.0, t_end, dt)
 
 
-def _qoi_from(netlist, args, grid) -> Qoi:
+def _qoi_weights(netlist, args) -> dict:
     if args.qoi:
-        weights = parse_qoi_expr(args.qoi)
-    elif netlist.directives.qoi_node:
-        weights = {netlist.directives.qoi_node: 1.0}
-    else:
-        raise ValueError("no QoI: pass --qoi or add a .sens directive")
+        return parse_qoi_expr(args.qoi)
+    if netlist.directives.qoi_node:
+        return {netlist.directives.qoi_node: 1.0}
+    raise ValueError("no QoI: pass --qoi or add a .sens directive")
+
+
+def _qoi_from(netlist, args, grid) -> Qoi:
+    weights = _qoi_weights(netlist, args)
     if args.window:
         a, b = (float(x) for x in args.window.split(":"))
     elif netlist.directives.sens_start is not None:
@@ -177,6 +180,12 @@ def _qoi_from(netlist, args, grid) -> Qoi:
     mask = (times >= a - 1e-15) & (times <= b + 1e-15)
     instants = tuple(times[mask][:: args.every])
     return Qoi(weights, window=(a, b), instants=instants)
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,6 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="implicit_euler")
         sp.add_argument("--out", type=Path, default=Path("."))
 
+    def parareal_options(sp):
+        sp.add_argument("--workers", type=_positive_int, default=1)
+        sp.add_argument("--tol", type=float, default=1e-8)
+        sp.add_argument("--stride", type=_positive_int, default=100)
+
     sp = sub.add_parser("simulate", help="forward transient solve to CSV")
     common(sp)
 
@@ -199,25 +213,21 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--qoi", default=None, help="e.g. v(out) or v(a)-v(b)")
         sp.add_argument("--window", default=None, help="t_start:t_end")
-        sp.add_argument("--every", type=int, default=1,
+        sp.add_argument("--every", type=_positive_int, default=1,
                         help="analyze every k-th grid point in the window")
         sp.add_argument("--N", default=None, help="parareal subintervals")
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--stride", type=int, default=100)
+        parareal_options(sp)
         if name == "spectrum":
-            sp.add_argument("--segment", type=int, default=256)
-            sp.add_argument("--top", type=int, default=10)
+            sp.add_argument("--segment", type=_positive_int, default=256)
+            sp.add_argument("--top", type=_positive_int, default=10)
 
     sp = sub.add_parser("bench", help="tabular parareal timing benchmark")
     common(sp)
     sp.add_argument("--qoi", default=None)
     sp.add_argument("--tm", type=float, required=True)
     sp.add_argument("--N", required=True, help="comma list, e.g. 2,4,8")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--stride", type=int, default=100)
-    sp.add_argument("--repetitions", type=int, default=1)
+    parareal_options(sp)
+    sp.add_argument("--repetitions", type=_positive_int, default=1)
     return p
 
 
@@ -280,12 +290,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_bench(args) -> int:
     netlist = load_netlist(args.netlist)
-    if args.qoi:
-        qoi = Qoi(parse_qoi_expr(args.qoi))
-    elif netlist.directives.qoi_node:
-        qoi = Qoi({netlist.directives.qoi_node: 1.0})
-    else:
-        raise ValueError("no QoI: pass --qoi or add a .sens directive")
+    qoi = Qoi(_qoi_weights(netlist, args))
     n_list = [int(x) for x in args.N.split(",")]
     records, _ = run_bench(netlist, args.tm, qoi, n_list,
                            workers=args.workers, repetitions=args.repetitions,

@@ -5,7 +5,7 @@ or with the timestep widened by the coarse stride (coarse).  The adjoint
 propagator evolves the stacked state [lam; mu] backward in time, expressed
 on the reversed axis sigma = t_m - t so the orchestrator always sees an
 initial value problem running left to right; the fine one is its stride-1
-case, and both take their step matrices from the solve's ``AdjointCache``.
+case.  Both run ``adjoint.backward_steps`` on the solve's ``AdjointCache``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .adjoint import AdjointCache, AdjointSolution, Qoi
+from .adjoint import AdjointCache, AdjointSolution, Qoi, backward_steps
 from .mna import StampedSystem
 from .parareal import PararealReport, parareal_solve
 from .transient import TimeGrid, Trajectory, integrate
@@ -60,9 +60,9 @@ class CoarseForwardPropagator:
 
 class CoarseAdjointPropagator:
     """Backward implicit-Euler steps for the stacked [lam; mu] state on the
-    reversed axis, each about ``stride`` fine steps wide.  A step that ends
-    at fine grid point k is linearized there, as in ``solve_adjoint``; the
-    step matrices come from the solve's shared ``AdjointCache``."""
+    reversed axis, each about ``stride`` fine steps wide: one
+    ``backward_steps`` call over the subinterval, each step linearized at
+    the fine grid point where it ends, as in ``solve_adjoint``."""
 
     def __init__(self, cache: AdjointCache, m_index: int, e_u: np.ndarray,
                  stride: int):
@@ -80,18 +80,13 @@ class CoarseAdjointPropagator:
         k_lo = self.m_index - int(round((s_end - t0) / dt))
         steps = k_hi - k_lo
         n_sub = _coarse_substeps(s_end - s_start, dt, self.stride)
-        dt_c = dt * (steps / n_sub)
         ks = [k_hi - int(round(j * steps / n_sub)) for j in range(n_sub + 1)]
-        lam = np.asarray(state[:n], dtype=float)
-        mu = np.asarray(state[n:], dtype=float)
+        # [lam; mu] as the block [mu, lam] of backward_steps
+        X = np.array(np.reshape(state, (2, n))[::-1].T, dtype=float, order="F")
         states = np.empty((n_sub + 1, 2 * n))
-        states[0] = state
-        JcT = cache.JcT
-        for j, k in enumerate(ks[1:], 1):
-            rhs = np.column_stack([JcT @ lam / dt_c - self.e_u, JcT @ mu / dt_c])
-            sol = cache.factor(k, dt_c).solve(rhs, trans=True)
-            lam, mu = sol[:, 0], sol[:, 1]
-            states[j] = np.concatenate([lam, mu])
+        for j, _ in enumerate(backward_steps(cache, X, ks, dt * (steps / n_sub),
+                                             self.e_u, lam=True)):
+            states[j] = X.T[::-1].ravel()
         times = s_start + dt * (k_hi - np.array(ks))
         return states[-1], (times, states, None)
 
@@ -121,32 +116,32 @@ def parareal_adjoint_solve(sys: StampedSystem, traj: Trajectory, t_m: float,
     """Backward adjoint solve for one analyzed instant through parareal.
 
     The stacked [lam; mu] state is propagated on the reversed time axis; the
-    terminal value of mu comes from one sequential fine step at t_m.  The
-    activation step and both propagators share one ``AdjointCache``, so
-    each linearization is factorized once for all iterations.
+    terminal value of mu is the stepper's activation at t_m.  The activation
+    and both propagators share one ``AdjointCache``, so each linearization
+    is factorized once for all iterations.
     """
     grid = traj.grid
     m = grid.index_of(t_m)
     n = sys.n
     dt = grid.dt
     if m == 0:
-        zeros = np.zeros((1, n))
-        adj = AdjointSolution(t_m, 0, grid, zeros.copy(), zeros.copy())
-        return adj, PararealReport(n_subintervals=cfg.n_subintervals)
+        return (AdjointSolution(t_m, 0, grid, *np.zeros((2, 1, n))),
+                PararealReport(n_subintervals=cfg.n_subintervals))
 
     cache = AdjointCache(sys, traj)
     e_u = qoi.vector(sys.dofs)
-    # one fine step fixes lam(t_{m-1}) and with it mu(t_m) = lam(t_{m-1})/dt
-    lam_prev = cache.factor(m - 1).solve(-e_u, trans=True)
-    x0 = np.concatenate([np.zeros(n), lam_prev / dt])
+    # the stepper's first point: lam(t_m) = 0 and mu(t_m) switched on
+    X = np.zeros((n, 2), order="F")
+    next(backward_steps(cache, X, (m, m - 1), dt, e_u, instants=(m,), lam=True))
+    x0 = X.T[::-1].ravel()
 
     sigma_grid = TimeGrid(grid.t0, grid.t0 + (t_m - grid.t0), dt)
     fine = FineAdjointPropagator(cache, m, e_u)
     coarse = CoarseAdjointPropagator(cache, m, e_u, cfg.coarse_stride)
     stitched, report = parareal_solve(fine, coarse, x0, sigma_grid, cfg,
                                       workers=workers)
-    # sigma-ordered rows back onto the forward grid: index k <-> sigma m-k
-    lam = stitched.states[::-1, :n].copy()
-    mu = stitched.states[::-1, n:].copy()
-    lam[m] = 0.0
-    return AdjointSolution(t_m, m, grid, lam, mu), report
+    # sigma-ordered rows back onto the forward grid: index k <-> sigma m-k;
+    # row m is x0 itself, so lam[m] == 0 exactly
+    states = stitched.states[::-1]
+    return AdjointSolution(t_m, m, grid, states[:, :n].copy(),
+                           states[:, n:].copy()), report

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pintsens import speedup, efficiency, run_bench, Qoi, builtin_circuit
+from pintsens import cli
 from pintsens.cli import (main, parse_qoi_expr, load_netlist,
                           write_bench_table, BenchRecord)
 from pintsens.netlist import _half_wave_rectifier_text
@@ -168,6 +169,23 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("sens", "--every"), ("spectrum", "--every"), ("sens", "--workers"),
+        ("spectrum", "--stride"), ("bench", "--workers"), ("bench", "--stride"),
+        ("bench", "--repetitions"), ("spectrum", "--segment"),
+        ("spectrum", "--top"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-50", "x"])
+    def test_non_positive_integer_rejected_at_parse_time(self, monkeypatch,
+                                                         capsys, command,
+                                                         flag, value):
+        monkeypatch.setitem(cli._COMMANDS, command, None)   # never dispatched
+        extra = ["--tm", "0.01", "--N", "2"] if command == "bench" else []
+        argv = [command, "builtin:half_wave_rectifier", *extra, flag, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
 
     def test_solver_failure_maps_to_two(self, monkeypatch, capsys):
         from pintsens import cli

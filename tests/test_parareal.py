@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from pintsens import mna
+from pintsens.adjoint import AdjointCache
+from pintsens.propagators import FineAdjointPropagator
 from pintsens import (TimeGrid, Qoi, PararealConfig, Propagator, parse_netlist,
                       assemble, integrate, solve_adjoint, dc_operating_point,
                       partition, jump_norm, parareal_solve, parareal_integrate,
@@ -247,6 +250,36 @@ class TestCircuitAdjoint:
         adj, _ = parareal_adjoint_solve(sys, traj, grid.times[2000],
                                         Qoi("out"), cfg)
         assert np.all(adj.lam[adj.m_index] == 0.0)
+
+
+@pytest.mark.parametrize("circuit, options, qoi", [
+    ("half_wave_rectifier", {"periods": 1.0}, "out"),
+    ("b6_bridge_reduced", {"m": 0, "dt": 1e-8}, {"uh_d": 1.0, "u": -1.0}),
+    ("b6_bridge_reduced", {"m": 2, "dt": 2e-8}, "uh_d"),
+], ids=["rectifier", "b6_m0", "b6_m2_sparse"])
+def test_fine_adjoint_propagator_reproduces_solve_adjoint(monkeypatch, circuit,
+                                                          options, qoi):
+    """Parareal reaches the sequential answer only if its fine propagator
+    takes exactly the sequential backward step: started from
+    ``solve_adjoint``'s [lam; mu] at the upper end of each subinterval, it
+    reproduces the rest of that subinterval bit for bit."""
+    if options.get("m"):                # 57 DoFs: force the sparse backend
+        monkeypatch.setattr(mna, "DENSE_LIMIT", 10)
+    nl = builtin_circuit(circuit, **options)
+    sys = assemble(nl)
+    assert sys.dense == (not options.get("m"))
+    grid = TimeGrid(0.0, nl.directives.t_end, nl.directives.dt)
+    traj = integrate(sys, dc_operating_point(sys, 0.0), grid)
+    m = grid.n_steps - 3
+    qoi = Qoi(qoi)
+    ref = solve_adjoint(sys, traj, grid.times[m], qoi)
+    stacked = np.hstack([ref.lam, ref.mu])[::-1]     # sigma order: row j <-> k = m - j
+    fine = FineAdjointPropagator(AdjointCache(sys, traj), m, qoi.vector(sys.dofs))
+    sigma_grid = TimeGrid(grid.t0, grid.times[m], grid.dt)
+    for s_start, s_end, j0, j1 in partition(sigma_grid, 4):
+        end, (_, states, _) = fine.evolve(stacked[j0], s_start, s_end)
+        assert np.array_equal(states, stacked[j0: j1 + 1]), (j0, j1)
+        assert np.array_equal(end, stacked[j1])
 
 
 class TestBothFixturesConverge:
