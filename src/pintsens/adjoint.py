@@ -71,14 +71,13 @@ class AdjointSolution:
     mu: np.ndarray               # (m_index+1, n), d lam / d t_m
 
 
-def backward_factor(sys: StampedSystem, factors: StepFactors, phi_k,
-                    t_k: float, k: int, dt: float):
+def backward_factor(factors: StepFactors, g_k: np.ndarray, k: int,
+                    t_k: float, dt: float):
     """Factorization of the step matrix Jc/dt + Jg + G(g_k), with g_k the
-    device conductances at the forward state (phi_k, t_k); a backward
-    adjoint step solves with its transpose."""
-    g = sys.conductance_at(phi_k, t_k)
+    device conductances at the forward state of step k (time t_k); a
+    backward adjoint step solves with its transpose."""
     try:
-        return factors.get(1.0 / dt, 1.0, g)
+        return factors.get(1.0 / dt, 1.0, g_k)
     except SolverError as exc:
         raise SolverError(exc.message, k, t_k, dof=exc.dof) from None
 
@@ -88,7 +87,9 @@ class AdjointCache:
     the forward trajectory, for ``backward_steps``: one per distinct (step
     width, linearization), shared by the ``solve_adjoint`` calls given the
     same cache and by both parareal propagators of one solve, on any number
-    of threads.  The batched sweep's cache keeps only the last one."""
+    of threads.  The device conductances of every step come from one
+    stacked ``conductance_at`` call when the cache is built.  The batched
+    sweep's cache keeps only the last factorization."""
 
     def __init__(self, sys: StampedSystem, traj: Trajectory):
         self.sys = sys
@@ -96,13 +97,14 @@ class AdjointCache:
         self.dt = traj.grid.dt
         self.JcT = sys.Jc.T.tocsr() if sp.issparse(sys.Jc) else sys.Jc.T.copy()
         self._times = traj.times
+        self._g = sys.conductance_at(traj.states, self._times[:, None])
         self._factors = StepFactors(sys)
 
     def factor(self, k: int, dt: Optional[float] = None):
         """Factorization of Jc/dt + Jg(t_k), by default with the grid step;
         a backward step is its transposed solve."""
-        return backward_factor(self.sys, self._factors, self.traj.states[k],
-                               self._times[k], k, self.dt if dt is None else dt)
+        return backward_factor(self._factors, self._g[k], k, self._times[k],
+                               self.dt if dt is None else dt)
 
     def solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
         """Solve (Jc/dt + Jg(t_k))^T x = rhs; rhs may be (n,) or (n, m)."""

@@ -122,7 +122,6 @@ def _accumulate(index, weights, length):
 
 
 _PAIR = np.array([1.0, -1.0])       # a device current enters row a, leaves row b
-_EMPTY = np.empty(0)
 _ZERO = np.zeros(1)
 
 
@@ -165,9 +164,15 @@ class _Devices:
             t_fall_end=t_on + ramp, ramp=ramp, ramped=ramp > 0.0,
             ramp_div=np.where(ramp > 0.0, ramp, 1.0))
 
+    # Every method below also takes stacked states phi (K, n) with times t
+    # (K, 1) and gives one row per state, as one state and time give one.
+
     def _voltages(self, phi):
-        ext = np.concatenate((phi, _ZERO))
-        return ext[self.a] - ext[self.b]
+        if phi.ndim == 1:
+            ext = np.concatenate((phi, _ZERO))
+            return ext[self.a] - ext[self.b]
+        ext = np.concatenate((phi, np.zeros((len(phi), 1))), axis=1)
+        return ext[:, self.a] - ext[:, self.b]
 
     def _diode(self, v):
         """Currents and conductances as diode_current, elementwise."""
@@ -184,7 +189,7 @@ class _Devices:
     def _switch(self, t):
         """Conductances as SwitchModel.conductance, elementwise."""
         if not self.g_on.size:
-            return _EMPTY
+            return np.empty(np.shape(t)[:-1] + (0,))
         tau = np.remainder(t - self.offset, self.period)
         g = np.where(tau < self.t_on, self.g_on, self.g_off)
         rising = tau < self.ramp
@@ -200,19 +205,25 @@ class _Devices:
         """Device currents (into a, out of b) and conductances at (phi, t)."""
         v = self._voltages(phi)
         nd = self.n_diodes
-        g_s = self._switch(t)
         if not nd:
+            g_s = self._switch(t)
             return g_s * v, g_s
         cur_d, g_d = self._diode(v[:nd])
-        if not g_s.size:
+        if not self.g_on.size:
             return cur_d, g_d
+        g_s = self._switch(t)
         return np.concatenate((cur_d, g_s * v[nd:])), np.concatenate((g_d, g_s))
 
     def conductances(self, phi, t):
         """Device conductances alone at (phi, t)."""
-        nd = self.n_diodes
-        g_d = self._diode(self._voltages(phi)[:nd])[1] if nd else _EMPTY
-        return np.concatenate((g_d, self._switch(t)))
+        g_s = self._switch(t)
+        if not self.n_diodes:
+            return g_s
+        # contiguous, as one state's diode voltages are, so that np.exp
+        # runs the same loop on a table as on a single state
+        v = np.ascontiguousarray(self._voltages(phi)[..., : self.n_diodes])
+        g_d = self._diode(v)[1]
+        return np.concatenate((g_d, g_s), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -325,9 +336,10 @@ class StampedSystem:
                            self.n + 1)[: self.n]
         return i_nl, DeviceJacobian(g, self)
 
-    def conductance_at(self, phi: np.ndarray, t: float) -> np.ndarray:
+    def conductance_at(self, phi: np.ndarray, t) -> np.ndarray:
         """Device conductances g at (phi, t): the linearized system matrix
-        there is Jg + G(g), see ``step_matrix``."""
+        there is Jg + G(g), see ``step_matrix``.  Stacked states phi (K, n)
+        with times t (K, 1) give the (K, m) table of their rows."""
         return self._devices.conductances(phi, t)
 
     def step_matrix(self, coef_dt: float, coef_g: float, g: np.ndarray):

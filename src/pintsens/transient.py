@@ -12,8 +12,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -99,8 +99,12 @@ class Trajectory:
 
 class _LU:
     """One LU factorization of a step matrix; solves with it or with its
-    transpose.  Threads may share one, but its solves take turns: scipy's
-    dense ``lu_solve`` shifts the pivot array in place during the call."""
+    transpose.  The dense backend calls LAPACK's dgetrf/dgetrs directly,
+    as ``lu_factor``/``lu_solve(check_finite=False)`` do without their
+    wrapper cost.  Threads may share one, but its solves take turns: the
+    f2py ``getrs`` wrapper shifts the pivot array to 1-based in place
+    during the call and back afterwards, so concurrent solves with one
+    pivot array corrupt each other and can crash the interpreter."""
 
     __slots__ = ("_lu", "_dense", "_lock")
 
@@ -108,25 +112,26 @@ class _LU:
         self._dense = sys.dense
         self._lock = threading.Lock()
         if sys.dense:
-            lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True,
-                                             check_finite=False)
-            zero = np.flatnonzero(np.diag(lu) == 0.0)
-            if zero.size:
+            lu, piv, info = dgetrf(A, overwrite_a=True)
+            if info > 0:
                 raise SolverError("singular step matrix: zero pivot",
-                                  dof=sys.dofs.names[zero[0]])
+                                  dof=sys.dofs.names[info - 1])
             self._lu = (lu, piv)
         else:
             try:
                 self._lu = spla.splu(A)
             except RuntimeError as exc:       # "Factor is exactly singular"
-                raise SolverError(f"singular step matrix: {exc}") from exc
+                # the dense factorization names the column, on this path only
+                info = dgetrf(A.toarray(), overwrite_a=True)[2]
+                raise SolverError(f"singular step matrix: {exc}",
+                                  dof=sys.dofs.names[info - 1] if info > 0
+                                  else None) from exc
 
     def solve(self, rhs, trans=False):
         """x with A x = rhs, or A^T x = rhs; rhs may be (n,) or (n, m)."""
         with self._lock:
             if self._dense:
-                return scipy.linalg.lu_solve(self._lu, rhs, trans=int(trans),
-                                             check_finite=False)
+                return dgetrs(*self._lu, rhs, trans=int(trans))[0]
             return self._lu.solve(rhs, "T" if trans else "N")
 
 

@@ -18,6 +18,7 @@ from pintsens import (TimeGrid, Qoi, parse_netlist, assemble, integrate,
                       finite_difference_series, finite_difference_oracle,
                       builtin_circuit, dc_operating_point, SolverError,
                       Trajectory)
+from pintsens import mna
 
 
 RC_TEXT = """* unit rc
@@ -259,6 +260,29 @@ R3 x y 2e3
 .tran 1e-6 1e-5
 .end
 """))
+    grid = TimeGrid(0.0, 1e-5, 1e-6)
+    states = np.zeros((grid.n_steps + 1, sys.n))
+    traj = Trajectory(grid, states, states.copy())
+    with pytest.raises(SolverError, match=r"step 9, t=9e-06: singular .* v\(y\)"):
+        solve_adjoint(sys, traj, grid.t1, Qoi("in"))
+
+
+ISLAND = """* resistor island with no path to ground
+V1 in 0 DC 1
+R1 in 0 1e3
+R2 x y 1e3
+R3 x y 2e3
+.tran 1e-6 1e-5
+.end
+"""
+
+
+def test_singular_sparse_backward_step_names_step_time_and_dof(monkeypatch):
+    """splu does not name the column; its error path factors the same
+    matrix densely, which does."""
+    monkeypatch.setattr(mna, "DENSE_LIMIT", 1)
+    sys = assemble(parse_netlist(ISLAND))
+    assert not sys.dense
     grid = TimeGrid(0.0, 1e-5, 1e-6)
     states = np.zeros((grid.n_steps + 1, sys.n))
     traj = Trajectory(grid, states, states.copy())

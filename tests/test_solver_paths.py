@@ -1,8 +1,10 @@
 """Fast paths against the slow paths they replace.
 
 The compiled device tables are checked against a per-device loop kept here
-as the reference, the dense LU backend against the sparse one, and the
-factorization count against the number of distinct linearizations.
+as the reference, the stacked conductance table against per-state calls,
+the dense LAPACK factor/solve against ``scipy.linalg.lu_factor``/``lu_solve``,
+the dense LU backend against the sparse one, and the factorization count
+against the number of distinct linearizations.
 """
 
 import threading
@@ -16,9 +18,9 @@ from pintsens import (PararealConfig, Qoi, TimeGrid, assemble,
                       builtin_circuit, dc_operating_point, integrate,
                       parareal_adjoint_solve, parse_netlist, partition,
                       sensitivity_series)
-from pintsens import mna
+from pintsens import mna, transient
 from pintsens.mna import StampedSystem, diode_current
-from pintsens.transient import StepFactors
+from pintsens.transient import StepFactors, _LU
 
 
 def _row(sys, node):
@@ -118,6 +120,104 @@ def test_compiled_devices_match_per_device_loop(name, options):
         assert 0 < clamped < len(times)
 
 
+RC_ONLY = """* no devices
+V1 in 0 DC 1
+R1 in out 1e3
+C1 out 0 1e-6
+.tran 1e-6 1e-5
+.end
+"""
+
+
+@pytest.mark.parametrize("name,options", [
+    ("half_wave_rectifier", {}),           # diodes only
+    ("b6_bridge_reduced", {}),             # switches only
+    ("b6_bridge_reduced", {"m": 8}),
+    ("mixed", {}),
+    ("rc", {}),                            # no devices: a (K, 0) table
+])
+def test_stacked_conductances_equal_per_state_calls(name, options):
+    """conductance_at on (K, n) states and (K, 1) times equals K calls on
+    one state each, bit for bit: past the diode exponent clamp, inside the
+    switch ramps, and on a forward trajectory."""
+    texts = {"mixed": MIXED, "rc": RC_ONLY}
+    nl = parse_netlist(texts[name]) if name in texts \
+        else builtin_circuit(name, **options)
+    sys = assemble(nl)
+    rng = np.random.default_rng(5)
+    times = np.array(switch_edge_times(nl, rng, 30))
+    # node voltages up to 3 V put the diodes past the exponent clamp
+    phis = rng.uniform(-3.0, 3.0, (times.size, sys.n))
+    d = nl.directives
+    grid = TimeGrid(0.0, min(d.t_end, 200 * d.dt), d.dt)
+    traj = integrate(sys, dc_operating_point(sys, 0.0), grid)
+    for states, ts in ((phis, times), (traj.states, traj.times)):
+        table = sys.conductance_at(states, ts[:, None])
+        rows = [sys.conductance_at(phi, t) for phi, t in zip(states, ts)]
+        assert table.shape == (len(ts), rows[0].size)
+        np.testing.assert_array_equal(table, np.array(rows).reshape(table.shape))
+    clamped = [terminal_voltage(sys, e, phi) / (e.value.n * e.value.v_t)
+               > mna.DIODE_EXP_CLAMP for phi in phis for e in nl.elements
+               if e.kind == "D"]
+    ramping = [0.0 < (t - e.value.offset) % e.value.period - on < e.value.ramp
+               for t in times for e in nl.elements if e.kind == "S"
+               for on in (0.0, e.value.duty * e.value.period)]
+    for covered in (clamped, ramping):
+        assert not covered or 0 < sum(covered) < len(covered)
+
+
+@pytest.mark.parametrize("name", ["half_wave_rectifier", "b6_bridge_reduced"])
+def test_dense_lapack_factor_and_solve_equal_scipy(name):
+    """The dense _LU calls dgetrf/dgetrs itself; factors, pivots and every
+    solve equal scipy's lu_factor/lu_solve bit for bit, for one and for
+    several right-hand sides in either memory order, with the matrix and
+    with its transpose, and the solves leave the factors unchanged."""
+    sys, grid, x0 = _forward(name, {})
+    assert sys.n in (3, 21)
+    A = sys.step_matrix(1.0 / grid.dt, 1.0, sys.conductance_at(x0, 0.0))
+    fac = _LU(sys, A.copy())
+    lu_ref, piv_ref = scipy.linalg.lu_factor(A.copy(), check_finite=False)
+    lu, piv = fac._lu
+    np.testing.assert_array_equal(lu, lu_ref)
+    np.testing.assert_array_equal(piv, piv_ref)
+    lu_before, piv_before = lu.copy(), piv.copy()
+    rng = np.random.default_rng(3)
+    vector = rng.standard_normal(sys.n)
+    block = rng.standard_normal((sys.n, 4))
+    for rhs in (vector, block, np.asfortranarray(block)):
+        for trans in (False, True):
+            ref = scipy.linalg.lu_solve((lu_ref, piv_ref), rhs,
+                                        trans=int(trans), check_finite=False)
+            got = fac.solve(rhs, trans=trans)
+            assert got.shape == rhs.shape
+            np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(lu, lu_before)
+    np.testing.assert_array_equal(piv, piv_before)
+
+
+def test_adjoint_solves_evaluate_devices_once_per_cache(monkeypatch):
+    """The batched sweep and a parareal adjoint solve each take all device
+    conductances from one stacked conductance_at call, whatever the number
+    of steps and iterations."""
+    calls = []
+    original = StampedSystem.conductance_at
+
+    def counting(self, phi, t):
+        calls.append(np.shape(phi))
+        return original(self, phi, t)
+
+    monkeypatch.setattr(StampedSystem, "conductance_at", counting)
+    sys, grid, x0 = _forward("half_wave_rectifier",
+                             {"periods": 2.0, "dt": 1.6e-5})
+    traj = integrate(sys, x0, grid)
+    instants = tuple(grid.times[grid.n_steps // 2 :: 100])
+    sensitivity_series(sys, traj, Qoi("out", instants=instants))
+    cfg = PararealConfig(n_subintervals=8, tol=1e-7, coarse_stride=25)
+    _, rep = parareal_adjoint_solve(sys, traj, instants[0], Qoi("out"), cfg)
+    assert rep.iterations == 3
+    assert calls == [traj.states.shape] * 2
+
+
 def test_dense_and_sparse_backends_agree(monkeypatch):
     nl = builtin_circuit("b6_bridge_reduced", m=2, dt=1e-8)
     d = nl.directives
@@ -137,14 +237,15 @@ def test_dense_and_sparse_backends_agree(monkeypatch):
 
 @pytest.fixture
 def lu_factor_calls(monkeypatch):
+    """Every dense factorization: the dgetrf binding of the transient module."""
     calls = []
-    original = scipy.linalg.lu_factor
+    original = transient.dgetrf
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    monkeypatch.setattr(transient, "dgetrf", counting)
     return calls
 
 
