@@ -258,6 +258,9 @@ def _stamp_entries(sys, params):
     return entries // n2, entries % n2, values
 
 
+QUAD_CHUNK = 64     # sweep points per quadrature product of the batched sweep
+
+
 def _batched_pointwise(sys, traj, qoi: Qoi, steps, params) -> np.ndarray:
     """Pointwise sensitivities at the ascending, distinct grid indices
     ``steps`` from one ``backward_steps`` sweep over [0, steps[-1]]; row i
@@ -265,24 +268,48 @@ def _batched_pointwise(sys, traj, qoi: Qoi, steps, params) -> np.ndarray:
 
     Column i of the (n, M) block holds mu for steps[i] and switches on
     there; the latest instants switch on first, so the active columns are
-    the block's last ones.  The trapezoid quadrature of
-    ``pointwise_sensitivity`` is summed per stamp entry as the sweep goes,
-    so no lam/mu history is kept, and the cache keeps only the last
-    factorization."""
+    the block's last ones, and the others are exactly zero.  The trapezoid
+    quadrature of ``pointwise_sensitivity`` is summed per stamp entry: mu at
+    the stamp rows is kept for QUAD_CHUNK sweep points, then multiplied by
+    their weighted [phidot; phi] entries in one product, and the terms are
+    added point by point in sweep order.  So no lam/mu history is kept, and
+    the cache keeps only the last factorization."""
     dt = traj.grid.dt
     rows, cols, stamp_values = _stamp_entries(sys, params)
     cache = AdjointCache(sys, traj)
     cache._factors = StepFactors(sys, keep=1)
     mu = np.zeros((sys.n, len(steps)), order="F")
     acc = np.zeros((rows.size, len(steps)))
+    terms = np.empty((QUAD_CHUNK, rows.size, len(steps)))
+    points = []                       # (k, first) of the points in terms
     for k, first in backward_steps(cache, mu, range(steps[-1], -1, -1), dt,
                                    qoi.vector(sys.dofs), instants=steps):
-        weights = np.full(len(steps) - first, 0.5 * dt if k == 0 else dt)
-        if k and steps[first] == k:
-            weights[0] = 0.5 * dt
-        x = np.concatenate((traj.derivs[k], traj.states[k]))[cols]
-        acc[:, first:] += mu[rows, first:] * np.multiply.outer(x, weights)
+        mu.take(rows, axis=0, out=terms[len(points)])
+        points.append((k, first))
+        if len(points) == QUAD_CHUNK or k == 0:
+            _add_quadrature(acc, terms[: len(points)], traj, cols, steps,
+                            np.array(points), dt)
+            points.clear()
     return acc.T @ stamp_values
+
+
+def _add_quadrature(acc, terms, traj, cols, steps, points, dt):
+    """Adds terms[j] * (x_k * w) to acc for every sweep point (k, first) =
+    points[j], one point at a time in order, with x_k = [phidot_k; phi_k]
+    at ``cols`` and terms[j] holding mu at the stamp rows there: the same
+    floats, summed in the same order, as a step-by-step sum.  The weight w
+    is dt, or dt/2 at k = 0 and in the column that switches on at k, as
+    ``_trapezoid_weights`` has it."""
+    ks, first = points.T
+    x = np.concatenate((traj.derivs[ks], traj.states[ks]), axis=1)[:, cols]
+    full = np.ones((len(ks), 1, len(steps)), bool)     # weight dt, not dt/2
+    full[ks == 0] = False
+    on = np.append(steps, -1)[first] == ks             # column first switches on
+    full[on, 0, first[on]] = False
+    np.multiply(terms, (x * dt)[:, :, None], out=terms, where=full)
+    np.multiply(terms, (x * (0.5 * dt))[:, :, None], out=terms, where=~full)
+    for term in terms:
+        acc += term
 
 
 def sensitivity_series(sys, traj, qoi: Qoi, params=None, parallel=None,

@@ -13,7 +13,7 @@ stamps dJc/dp and dJg/dp are kept as sparse triplets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -121,17 +121,13 @@ def _accumulate(index, weights, length):
     return np.bincount(index, weights, minlength=length).astype(float, copy=False)
 
 
-_PAIR = np.array([1.0, -1.0])       # a device current enters row a, leaves row b
-_ZERO = np.zeros(1)
-
-
 @dataclass(frozen=True)
 class _Devices:
     """Diodes, then switches, each in netlist order, compiled into flat
-    arrays.  Row n stands for ground: states are extended by one zero."""
-    a: np.ndarray                # (m,) terminal rows
-    b: np.ndarray
-    rows: np.ndarray             # (2m,) a_0, b_0, a_1, b_1, ...
+    arrays.  ``inc`` is the (n, m) incidence of the devices: device j has
+    +1 at its terminal a and -1 at b, and ground has no row, so phi @ inc
+    are the terminal voltages and inc @ cur the row currents."""
+    inc: np.ndarray
     n_diodes: int
     i_s: np.ndarray              # diodes: saturation current, n * v_t
     nvt: np.ndarray
@@ -146,11 +142,19 @@ class _Devices:
     ramp: np.ndarray
     ramped: np.ndarray           # ramp > 0
     ramp_div: np.ndarray         # ramp, or 1 where there is none
+    # (t, switch conductances) of the last scalar time: replaced as one
+    # tuple, so threads evaluating other times always read a matching pair;
+    # a swap lost between threads only costs an evaluation
+    _last: tuple = field(default=(None, None), compare=False, repr=False)
 
     @classmethod
     def compile(cls, terminals, diodes, switches, n):
-        ab = np.array([(n if a is None else a, n if b is None else b)
-                       for a, b in terminals], dtype=np.intp).reshape(-1, 2)
+        inc = np.zeros((n, len(terminals)))
+        for j, (a, b) in enumerate(terminals):
+            if a is not None:
+                inc[a, j] = 1.0
+            if b is not None:
+                inc[b, j] = -1.0
         i_s, nvt = np.array([(m.i_s, m.n * m.v_t) for m in diodes],
                             dtype=float).reshape(-1, 2).T
         r_on, r_off, period, duty, ramp, offset = np.array(
@@ -158,7 +162,7 @@ class _Devices:
              for m in switches], dtype=float).reshape(-1, 6).T
         g_on, g_off, t_on = 1.0 / r_on, 1.0 / r_off, duty * period
         return cls(
-            a=ab[:, 0], b=ab[:, 1], rows=ab.ravel(), n_diodes=len(diodes),
+            inc=inc, n_diodes=len(diodes),
             i_s=i_s, nvt=nvt, g_on=g_on, g_off=g_off, rise=g_on - g_off,
             fall=g_off - g_on, period=period, offset=offset, t_on=t_on,
             t_fall_end=t_on + ramp, ramp=ramp, ramped=ramp > 0.0,
@@ -166,13 +170,6 @@ class _Devices:
 
     # Every method below also takes stacked states phi (K, n) with times t
     # (K, 1) and gives one row per state, as one state and time give one.
-
-    def _voltages(self, phi):
-        if phi.ndim == 1:
-            ext = np.concatenate((phi, _ZERO))
-            return ext[self.a] - ext[self.b]
-        ext = np.concatenate((phi, np.zeros((len(phi), 1))), axis=1)
-        return ext[:, self.a] - ext[:, self.b]
 
     def _diode(self, v):
         """Currents and conductances as diode_current, elementwise."""
@@ -201,27 +198,42 @@ class _Devices:
         return np.where(rising & self.ramped,
                         self.g_off + self.rise * (tau / self.ramp_div), g)
 
+    def _switch_at(self, t):
+        """``_switch(t)``, evaluated once per scalar time: Newton evaluates
+        each step's time at least twice, so the last scalar time's
+        conductances are kept, read-only, until another time comes.
+        Stacked times are evaluated on every call."""
+        if isinstance(t, np.ndarray):
+            return self._switch(t)
+        last = self._last
+        if last[0] == t:
+            return last[1]
+        g = self._switch(t)
+        g.flags.writeable = False
+        object.__setattr__(self, "_last", (t, g))
+        return g
+
     def currents(self, phi, t):
         """Device currents (into a, out of b) and conductances at (phi, t)."""
-        v = self._voltages(phi)
+        v = phi @ self.inc
         nd = self.n_diodes
         if not nd:
-            g_s = self._switch(t)
+            g_s = self._switch_at(t)
             return g_s * v, g_s
         cur_d, g_d = self._diode(v[:nd])
         if not self.g_on.size:
             return cur_d, g_d
-        g_s = self._switch(t)
+        g_s = self._switch_at(t)
         return np.concatenate((cur_d, g_s * v[nd:])), np.concatenate((g_d, g_s))
 
     def conductances(self, phi, t):
         """Device conductances alone at (phi, t)."""
-        g_s = self._switch(t)
+        g_s = self._switch_at(t)
         if not self.n_diodes:
             return g_s
         # contiguous, as one state's diode voltages are, so that np.exp
         # runs the same loop on a table as on a single state
-        v = np.ascontiguousarray(self._voltages(phi)[..., : self.n_diodes])
+        v = np.ascontiguousarray((phi @ self.inc)[..., : self.n_diodes])
         g_d = self._diode(v)[1]
         return np.concatenate((g_d, g_s), axis=-1)
 
@@ -272,8 +284,8 @@ class _Scatter:
                    dev_sign=np.sign(dev_v))
 
     def devices(self, g):
-        return _accumulate(self.dev_pos, g[self.dev_index] * self.dev_sign,
-                           self.jc.size)
+        return np.bincount(self.dev_pos, g[self.dev_index] * self.dev_sign,
+                           minlength=self.jc.size)
 
     def matrix(self, data):
         if self.dense:
@@ -332,9 +344,7 @@ class StampedSystem:
         d i_nl / d phi as a DeviceJacobian.  Nothing here depends on
         dphi/dt."""
         cur, g = self._devices.currents(phi, t)
-        i_nl = _accumulate(self._devices.rows, (cur[:, None] * _PAIR).ravel(),
-                           self.n + 1)[: self.n]
-        return i_nl, DeviceJacobian(g, self)
+        return self._devices.inc @ cur, DeviceJacobian(g, self)
 
     def conductance_at(self, phi: np.ndarray, t) -> np.ndarray:
         """Device conductances g at (phi, t): the linearized system matrix

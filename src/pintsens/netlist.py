@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 GROUND = "0"
@@ -199,11 +200,20 @@ class Netlist:
     directives: Directives = Directives()
     param_filter: Optional[tuple[str, ...]] = None
 
-    def element(self, name: str) -> Element:
+    @cached_property
+    def _by_name(self) -> dict:
+        """Lowercase name -> element, the first one of each name."""
+        by_name = {}
         for e in self.elements:
-            if e.name.lower() == name.lower():
-                return e
-        raise KeyError(name)
+            by_name.setdefault(e.name.lower(), e)
+        return by_name
+
+    def element(self, name: str) -> Element:
+        """The element of that name, in any case."""
+        try:
+            return self._by_name[name.lower()]
+        except KeyError:
+            raise KeyError(name) from None
 
     @property
     def sources(self) -> tuple[Element, ...]:

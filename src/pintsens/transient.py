@@ -167,32 +167,34 @@ def dc_operating_point(sys, t: float = 0.0, x0=None,
     """Consistent start state: Newton solve of Jg phi + i_nl(phi) = i_s(t)
     with dphi/dt = 0."""
     phi = np.zeros(sys.n) if x0 is None else np.array(x0, dtype=float)
-    phi, _ = _newton_step(sys, StepFactors(sys, keep=1), phi,
+    phi, _ = _newton_step(sys, StepFactors(sys, keep=1), phi, sys.Jc @ phi,
                           -sys.source_eval(t), 0.0, 1.0, t, None, tol, max_iter)
     return phi
 
 
-def _newton_step(sys, factors, phi_guess, rhs_const, coef_dt, coef_g, t, step,
-                 tol, max_iter):
-    """Solve  coef_dt*Jc*phi + coef_g*(Jg*phi + i_nl(phi,t)) + rhs_const = 0.
-    ``step`` None marks the DC operating point."""
+def _newton_step(sys, factors, phi_guess, jc_guess, rhs_const, coef_dt, coef_g,
+                 t, step, tol, max_iter):
+    """Solve  coef_dt*Jc*phi + coef_g*(Jg*phi + i_nl(phi,t)) + rhs_const = 0
+    from phi_guess, given jc_guess = Jc @ phi_guess.  ``step`` None marks
+    the DC operating point."""
     prefix = "DC operating point: " if step is None else ""
-    phi = phi_guess.copy()
+    phi, jc_phi = phi_guess, jc_guess
     for iters in range(1, max_iter + 1):
         i_nl, jac = sys.eval_nonlinear(phi, t)
-        residual = coef_dt * (sys.Jc @ phi) + coef_g * (sys.Jg @ phi + i_nl) + rhs_const
+        residual = coef_dt * jc_phi + coef_g * (sys.Jg @ phi + i_nl) + rhs_const
         try:
             delta = factors.get(coef_dt, coef_g, jac.g).solve(-residual)
         except SolverError as exc:
             raise SolverError(prefix + exc.message, step, t,
                               float(np.max(np.abs(residual))), exc.dof) from None
-        change = np.max(np.abs(delta))        # NaN if any entry is NaN
+        change = abs(delta).max()             # NaN if any entry is NaN
         if not math.isfinite(change):
             raise SolverError(prefix + "solution is not finite (singular step "
                               "matrix?)", step, t)
         phi = phi + delta
-        if change <= tol * (1.0 + np.max(np.abs(phi))):
+        if change <= tol * (1.0 + abs(phi).max()):
             return phi, iters
+        jc_phi = sys.Jc @ phi
     worst = int(np.argmax(np.abs(residual)))
     raise SolverError(f"{prefix}Newton did not converge in {max_iter} iterations",
                       step, t, float(abs(residual[worst])), sys.dofs.names[worst])
@@ -224,20 +226,23 @@ def integrate(sys, x0, grid: TimeGrid, scheme: str = "implicit_euler",
     for k in range(n_steps):
         t_next = times[k + 1]
         phi_k = states[k]
+        jc_phi = sys.Jc @ phi_k
         if scheme == "implicit_euler":
-            rhs_const = -(sys.Jc @ phi_k) / dt - sys.source_eval(t_next)
-            phi, iters = _newton_step(sys, factors, phi_k, rhs_const, 1.0 / dt,
-                                      1.0, t_next, k + 1, tol, max_iter)
-            derivs[k + 1] = (phi - phi_k) / dt
+            rhs_const = -jc_phi / dt - sys.source_eval(t_next)
+            phi, iters = _newton_step(sys, factors, phi_k, jc_phi, rhs_const,
+                                      1.0 / dt, 1.0, t_next, k + 1, tol, max_iter)
         else:  # trapezoidal
             i_nl_k, _ = sys.eval_nonlinear(phi_k, times[k])
             f_k = sys.Jg @ phi_k + i_nl_k - sys.source_eval(times[k])
-            rhs_const = (-(sys.Jc @ phi_k) / dt + 0.5 * f_k
+            rhs_const = (-jc_phi / dt + 0.5 * f_k
                          - 0.5 * sys.source_eval(t_next))
-            phi, iters = _newton_step(sys, factors, phi_k, rhs_const, 1.0 / dt,
-                                      0.5, t_next, k + 1, tol, max_iter)
+            phi, iters = _newton_step(sys, factors, phi_k, jc_phi, rhs_const,
+                                      1.0 / dt, 0.5, t_next, k + 1, tol, max_iter)
             derivs[k + 1] = 2.0 * (phi - phi_k) / dt - derivs[k]
         states[k + 1] = phi
         total_iters += iters
+    if scheme == "implicit_euler":      # (phi_{k+1} - phi_k) / dt, as stored
+        np.subtract(states[1:], states[:-1], out=derivs[1:])
+        derivs[1:] /= dt
 
     return Trajectory(grid, states, derivs, newton_iters=total_iters)

@@ -134,6 +134,64 @@ def test_unsorted_duplicated_and_boundary_instants(b6):
     np.testing.assert_array_equal(ser.instants, instants)
 
 
+def per_step_quadrature(sys, traj, qoi, steps, params):
+    """The batched sweep with its quadrature summed step by step, the way
+    it was before the chunked sum: at every sweep point, the weighted terms
+    of the active columns are added to the running sum."""
+    dt = traj.grid.dt
+    rows, cols, stamp_values = adjoint._stamp_entries(sys, params)
+    cache = adjoint.AdjointCache(sys, traj)
+    mu = np.zeros((sys.n, len(steps)), order="F")
+    acc = np.zeros((rows.size, len(steps)))
+    for k, first in adjoint.backward_steps(cache, mu, range(steps[-1], -1, -1),
+                                           dt, qoi.vector(sys.dofs),
+                                           instants=steps):
+        weights = np.full(len(steps) - first, 0.5 * dt if k == 0 else dt)
+        if k and steps[first] == k:
+            weights[0] = 0.5 * dt
+        x = np.concatenate((traj.derivs[k], traj.states[k]))[cols]
+        acc[:, first:] += mu[rows, first:] * np.multiply.outer(x, weights)
+    return acc.T @ stamp_values
+
+
+EDGE_STEPS = (0, 1, 63, 64, 65, 127, 128, 129)
+
+
+@pytest.mark.parametrize("name,options,n_steps", [
+    ("half_wave_rectifier", {"periods": 1.0}, None),
+    ("b6_bridge_reduced", {}, 400),
+    ("b6_bridge_reduced", {"m": 1}, 400),
+])
+def test_chunked_quadrature_equals_per_step_sums(name, options, n_steps):
+    """The quadrature summed in chunks of QUAD_CHUNK sweep points equals
+    the per-step sum bit for bit, with instants at both sides of the chunk
+    boundaries counted from the top of the sweep, at t0 and the first step,
+    at the last grid point, and every 7th step."""
+    assert adjoint.QUAD_CHUNK == 64
+    nl = builtin_circuit(name, **options)
+    sys = assemble(nl)
+    d = nl.directives
+    grid = TimeGrid(0.0, d.t_end if n_steps is None else n_steps * d.dt, d.dt)
+    traj = integrate(sys, dc_operating_point(sys, 0.0), grid)
+    n = grid.n_steps
+    sets = [EDGE_STEPS + (n,) + tuple(range(0, n, 7)), EDGE_STEPS[:5],
+            EDGE_STEPS[5:], (0,), (1,), (63,), (64,), (65,), (128,), (129,),
+            (n - 64, n), (n,)]
+    for ks in sets:
+        steps = np.unique(ks)
+        qoi = Qoi(d.qoi_node, instants=tuple(grid.times[k] for k in steps))
+        ref = per_step_quadrature(sys, traj, qoi, steps, sys.params)
+        assert np.any(ref) or steps[-1] == 0
+        np.testing.assert_array_equal(
+            adjoint._batched_pointwise(sys, traj, qoi, steps, sys.params), ref)
+    ks = (129, 64, 0, n, 64, 1, 129, n)                 # unsorted, duplicated
+    steps, inverse = np.unique(ks, return_inverse=True)
+    ser = sensitivity_series(sys, traj, Qoi(d.qoi_node, instants=tuple(
+        grid.times[k] for k in ks)))
+    ref = per_step_quadrature(sys, traj, Qoi(d.qoi_node), steps, sys.params)
+    np.testing.assert_array_equal(ser.values, ref[inverse])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1,
                 max_size=8))

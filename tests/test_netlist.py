@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pintsens.netlist import (NetlistError, parse_value, parse_netlist,
-                              serialize_netlist, builtin_circuit,
-                              BUILTIN_CIRCUITS)
+from pintsens.netlist import (Element, Netlist, NetlistError, parse_value,
+                              parse_netlist, serialize_netlist,
+                              builtin_circuit, BUILTIN_CIRCUITS)
 
 
 RC_TEXT = """* rc lowpass
@@ -110,6 +110,24 @@ class TestParsing:
         assert bumped.params[1].nominal == 2e3
         assert [p.id for p in bumped.params] == [p.id for p in nl.params]
         assert nl.params[1].nominal == 1e3    # original untouched
+
+    def test_element_lookup_ignores_case_and_rejects_unknown_names(self):
+        nl = builtin_circuit("b6_bridge_reduced", m=1)
+        for e in nl.elements:
+            for name in (e.name, e.name.upper(), e.name.lower()):
+                assert nl.element(name) is e
+        bumped = nl.with_element_value("c_ds_UH", 2e-9)
+        assert bumped.element("C_DS_uh").value == 2e-9
+        assert nl.element("c_ds_uh").value != 2e-9
+        for name in ("R9", "", "L_uh-vh"):
+            with pytest.raises(KeyError) as exc:
+                nl.element(name)
+            assert exc.value.args == (name,)
+        # the parser rejects duplicate names; a netlist built directly
+        # resolves one to its first element
+        first, second = (Element(name, "R", ("a", "0"), value)
+                         for name, value in (("R1", 1.0), ("r1", 2.0)))
+        assert Netlist("dup", ("a", "0"), (first, second), ()).element("R1") is first
 
 
 class TestBuiltins:

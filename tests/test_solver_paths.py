@@ -1,7 +1,9 @@
 """Fast paths against the slow paths they replace.
 
 The compiled device tables are checked against a per-device loop kept here
-as the reference, the stacked conductance table against per-state calls,
+as the reference, the device incidence array against the ground-extended
+index path it replaced, the kept switch conductances against fresh ones, the
+stacked conductance table against per-state calls,
 the dense LAPACK factor/solve against ``scipy.linalg.lu_factor``/``lu_solve``,
 the dense LU backend against the sparse one, and the factorization count
 against the number of distinct linearizations.
@@ -164,6 +166,139 @@ def test_stacked_conductances_equal_per_state_calls(name, options):
                for on in (0.0, e.value.duty * e.value.period)]
     for covered in (clamped, ramping):
         assert not covered or 0 < sum(covered) < len(covered)
+
+
+def ground_extended_rows(nl, sys):
+    """Terminal rows (a, b) of the diodes, then the switches, in netlist
+    order, with ground as row n."""
+    devices = [e for kind in "DS" for e in nl.elements if e.kind == kind]
+    return np.array([[sys.n if r is None else r
+                      for r in (_row(sys, e.nodes[0]), _row(sys, e.nodes[1]))]
+                     for e in devices], dtype=np.intp).reshape(-1, 2)
+
+
+def ground_extended_voltages(ab, phi):
+    """The device path the incidence array replaces: states extended by a
+    ground zero, terminal a minus terminal b."""
+    ext = np.concatenate((phi, np.zeros(phi.shape[:-1] + (1,))), axis=-1)
+    return ext[..., ab[:, 0]] - ext[..., ab[:, 1]]
+
+
+def bincount_row_currents(ab, cur, n):
+    """Device currents into row a and out of row b, summed with bincount in
+    device order; the ground row is dropped."""
+    signed = (cur[:, None] * np.array([1.0, -1.0])).ravel()
+    return np.bincount(ab.ravel(), signed, minlength=n + 1)[:n]
+
+
+@pytest.mark.parametrize("name,options", [
+    ("half_wave_rectifier", {}),
+    ("b6_bridge_reduced", {}),
+    ("b6_bridge_reduced", {"m": 8}),
+    ("mixed", {}),                         # three devices meet at node a
+    ("rc", {}),                            # no devices: an (n, 0) array
+])
+def test_incidence_array_equals_ground_extended_device_path(name, options):
+    """phi @ inc gives the ground-extended terminal differences bit for
+    bit, for one state and stacked states.  The row currents inc @ cur equal
+    the bincount sums bit for bit where at most two devices meet per node,
+    as in every builtin fixture, and to 1e-14 elsewhere."""
+    texts = {"mixed": MIXED, "rc": RC_ONLY}
+    nl = parse_netlist(texts[name]) if name in texts \
+        else builtin_circuit(name, **options)
+    sys = assemble(nl)
+    ab = ground_extended_rows(nl, sys)
+    inc = sys._devices.inc
+    assert inc.shape == (sys.n, len(ab))
+    meet = np.count_nonzero(inc, axis=1).max(initial=0)
+    assert (meet <= 2) == (name != "mixed")
+    rng = np.random.default_rng(17)
+    times = switch_edge_times(nl, rng, 40)
+    phis = rng.uniform(-3.0, 3.0, (len(times), sys.n))
+    np.testing.assert_array_equal(phis @ inc, ground_extended_voltages(ab, phis))
+    for phi, t in zip(phis, times):
+        np.testing.assert_array_equal(phi @ inc, ground_extended_voltages(ab, phi))
+        cur, _ = sys._devices.currents(phi, t)
+        i_nl, _ = sys.eval_nonlinear(phi, t)
+        ref = bincount_row_currents(ab, cur, sys.n)
+        if meet <= 2:
+            np.testing.assert_array_equal(i_nl, ref)
+        else:
+            assert_rel(i_nl, ref, 1e-14)
+
+
+def test_switch_conductances_are_evaluated_once_per_time(monkeypatch):
+    """A scalar time's switch conductances are evaluated once and kept until
+    another time comes: going back to an earlier time evaluates it again,
+    inside the ramps too, and gives SwitchModel.conductance.  The kept array
+    is read-only.  A forward solve of the bridge evaluates one time per
+    step although Newton takes two iterations there."""
+    calls = []
+    original = mna._Devices._switch
+
+    def counting(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(mna._Devices, "_switch", counting)
+    nl = builtin_circuit("b6_bridge_reduced")
+    sys = assemble(nl)
+    switches = [e.value for e in nl.elements if e.kind == "S"]
+    times = switch_edge_times(nl, np.random.default_rng(3), 10)
+    phi = np.zeros(sys.n)
+    for t1, t2 in zip(times, times[1:]):
+        for t in (t1, t1, t2, t2, t1):
+            g = sys.conductance_at(phi, t)
+            assert_rel(g, np.array([m.conductance(t) for m in switches]), 1e-14)
+            np.testing.assert_array_equal(g, original(sys._devices, t))
+            assert sys.eval_nonlinear(phi, t)[1].g is g
+            assert not g.flags.writeable
+            with pytest.raises(ValueError):
+                g[0] = 0.0
+        assert calls[-3:] == [t1, t2, t1]
+    assert len(calls) == 3 * (len(times) - 1)
+    calls.clear()
+    grid = TimeGrid(0.0, 50 * nl.directives.dt, nl.directives.dt)
+    traj = integrate(sys, dc_operating_point(sys, 0.0), grid)
+    assert traj.newton_iters == 2 * grid.n_steps
+    assert len(calls) == grid.n_steps + 1          # the DC point, then a step
+
+
+def test_switch_conductances_are_right_on_concurrent_threads():
+    """Four threads evaluate the bridge's switches at times of their own,
+    inside the ramps and between them, with a 1 us switch interval: the
+    kept (time, conductances) pair is replaced as one, so every thread gets
+    the conductances of its own time."""
+    nl = builtin_circuit("b6_bridge_reduced")
+    sys = assemble(nl)
+    times = sorted(set(switch_edge_times(nl, np.random.default_rng(9), 40)))
+    per_thread = [times[i::4] for i in range(4)]
+    expected = {t: sys._devices._switch(t).tobytes() for t in times}
+    phi = np.zeros(sys.n)
+    barrier = threading.Barrier(4)
+    wrong = []
+
+    def work(own):
+        barrier.wait(timeout=10)
+        for _ in range(100):
+            for t in own:
+                for _ in range(3):          # as Newton's iterations at one time
+                    if sys.conductance_at(phi, t).tobytes() != expected[t]:
+                        wrong.append(t)
+
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(own,))
+                   for own in per_thread]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("name", ["half_wave_rectifier", "b6_bridge_reduced"])
