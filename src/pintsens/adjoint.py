@@ -183,19 +183,26 @@ def _trapezoid_weights(k: int, dt: float) -> np.ndarray:
     return w
 
 
+QUAD_CHUNK = 64     # grid points per quadrature product
+
+
 def _weighted_integral(sys, traj, weight_field: np.ndarray, params) -> np.ndarray:
+    """Trapezoid quadrature of w^T (dJc/dp phidot + dJg/dp phi) over the
+    rows of the weight field w, summed per stamp entry.  The terms are
+    formed QUAD_CHUNK grid points at a time: as one (points, entries) array
+    they take megabytes on B6, mapped afresh on every call."""
     m = weight_field.shape[0] - 1
     if m == 0:
         return np.zeros(len(params))
+    rows, cols, values = _stamp_entries(sys, params)
     quad = _trapezoid_weights(m, traj.grid.dt)
-    phi = traj.states[: m + 1]
-    phidot = traj.derivs[: m + 1]
-    out = np.empty(len(params))
-    for j, p in enumerate(params):
-        stamp = sys.param_stamps[p.id]
-        integrand = stamp.apply_series(phidot, phi, weight_field)
-        out[j] = quad @ integrand
-    return out
+    phidot, phi = traj.derivs[: m + 1], traj.states[: m + 1]
+    total = np.zeros(rows.size)
+    for k in range(0, m + 1, QUAD_CHUNK):
+        s = slice(k, k + QUAD_CHUNK)
+        x = np.concatenate((phidot[s], phi[s]), axis=1)
+        total += quad[s] @ (weight_field[s, rows] * x[:, cols])
+    return total @ values
 
 
 def pointwise_sensitivity(sys, traj, adj: AdjointSolution, params=None) -> np.ndarray:
@@ -243,22 +250,14 @@ def _stamp_entries(sys, params):
     """The derivative stamps of ``params`` folded onto their distinct
     entries: rows, columns into the stacked state [phidot; phi] of length
     2n, and the (entries, len(params)) matrix of summed stamp values."""
+    table = sys.param_table
     n2 = 2 * sys.n
-    keys, vals = [np.empty(0, np.intp)], [np.empty(0)]
-    owner = [np.empty(0, np.intp)]
-    for j, p in enumerate(params):
-        st = sys.param_stamps[p.id]
-        keys += [st.jc_rows * n2 + st.jc_cols,
-                 st.jg_rows * n2 + sys.n + st.jg_cols]
-        vals += [st.jc_vals, st.jg_vals]
-        owner.append(np.full(st.jc_vals.size + st.jg_vals.size, j))
-    entries, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    values = np.zeros((entries.size, len(params)))
-    np.add.at(values, (inverse, np.concatenate(owner)), np.concatenate(vals))
-    return entries // n2, entries % n2, values
-
-
-QUAD_CHUNK = 64     # sweep points per quadrature product of the batched sweep
+    keys, inverse = np.unique(table.rows * n2 + table.cols, return_inverse=True)
+    values = np.zeros((keys.size, len(sys.params)))
+    np.add.at(values, (inverse, table.param), table.vals)
+    values = values[:, [p.id for p in params]]
+    used = values.any(axis=1)
+    return keys[used] // n2, keys[used] % n2, values[used]
 
 
 def _batched_pointwise(sys, traj, qoi: Qoi, steps, params) -> np.ndarray:

@@ -6,20 +6,20 @@ PWM switches contribute through ``eval_nonlinear``.  Device j stamps one
 conductance g[j] on the pattern of its two nodes, so every step matrix is
 coef_dt*Jc + coef_g*(Jg + G(g)) and depends on the state only through the
 device-conductance vector g.  ``stamp_linear`` compiles the device tables
-and the scatter positions of that matrix once.  Per-parameter derivative
-stamps dJc/dp and dJg/dp are kept as sparse triplets.
+and the scatter positions of that matrix once, and the derivative stamps
+dJc/dp and dJg/dp of all parameters into one flat table, ``ParamTable``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .netlist import Netlist, Parameter, DiodeModel
+from .netlist import Netlist, DiodeModel
 
 DENSE_LIMIT = 100          # below this many DoFs matrices are plain ndarrays
 DIODE_EXP_CLAMP = 40.0     # linear extrapolation of the exponential beyond
@@ -54,34 +54,14 @@ def assign_dofs(netlist: Netlist) -> DofMap:
     return DofMap(node_index, branch_index, tuple(names))
 
 
-@dataclass(frozen=True)
-class ParamStamp:
-    """Sparse derivative stamps (dJc/dp, dJg/dp) as triplet arrays."""
-    jc_rows: np.ndarray
-    jc_cols: np.ndarray
-    jc_vals: np.ndarray
-    jg_rows: np.ndarray
-    jg_cols: np.ndarray
-    jg_vals: np.ndarray
-
-    def apply(self, phi_dot: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Row vector dJc/dp * phi_dot + dJg/dp * phi (dense, n entries)."""
-        n = phi.shape[-1]
-        out = np.zeros(n)
-        np.add.at(out, self.jc_rows, self.jc_vals * phi_dot[self.jc_cols])
-        np.add.at(out, self.jg_rows, self.jg_vals * phi[self.jg_cols])
-        return out
-
-    def apply_series(self, phi_dot: np.ndarray, phi: np.ndarray,
-                     weights: np.ndarray) -> np.ndarray:
-        """Integrand series w_k^T (dJc/dp phidot_k + dJg/dp phi_k) over all
-        rows k of the (K, n) state arrays."""
-        out = np.zeros(phi.shape[0])
-        if self.jc_vals.size:
-            out += (weights[:, self.jc_rows] * phi_dot[:, self.jc_cols]) @ self.jc_vals
-        if self.jg_vals.size:
-            out += (weights[:, self.jg_rows] * phi[:, self.jg_cols]) @ self.jg_vals
-        return out
+class ParamTable(NamedTuple):
+    """The derivative stamps of every parameter as one flat table: entry i
+    adds vals[i] * x[cols[i]] to row rows[i] of d(Jc phidot + Jg phi)/dp
+    for p = param[i], with x = [phidot; phi] the stacked state of length 2n."""
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    param: np.ndarray            # parameter id
 
 
 class _Triplets:
@@ -322,7 +302,7 @@ class StampedSystem:
     _sources: list               # (kind, a, b, branch_row, waveform)
     _devices: _Devices
     _scatter: _Scatter
-    param_stamps: list           # ParamStamp per parameter id
+    param_table: ParamTable
     params: tuple
 
     def source_eval(self, t: float) -> np.ndarray:
@@ -418,36 +398,32 @@ def stamp_linear(netlist: Netlist, dofs: DofMap) -> StampedSystem:
         Jc, Jg = scatter.jc.reshape(n, n), scatter.jg.reshape(n, n)
     else:
         Jc, Jg = jc.csr(n), jg.csr(n)
-    stamps = [_param_stamp(netlist, dofs, p) for p in netlist.params]
     return StampedSystem(n=n, Jc=Jc, Jg=Jg, dense=dense, dofs=dofs,
                          _sources=sources, _devices=devices, _scatter=scatter,
-                         param_stamps=stamps, params=netlist.params)
+                         param_table=_param_table(netlist, dofs),
+                         params=netlist.params)
 
 
-def _param_stamp(netlist: Netlist, dofs: DofMap, p: Parameter) -> ParamStamp:
-    e = netlist.element(p.element)
-    a = _row(dofs, e.nodes[0])
-    b = _row(dofs, e.nodes[1])
-    jc = _Triplets()
-    jg = _Triplets()
-    if p.kind == "R":
-        jg.add_pattern(a, b, -1.0 / (p.nominal ** 2))   # d(1/R)/dR
-    elif p.kind == "C":
-        jc.add_pattern(a, b, 1.0)                        # d(C)/dC
-    elif p.kind == "L":
-        br = dofs.branch_index[e.name]
-        jc.add(br, br, -1.0)                             # branch stamp is -L
-    jc_rows, jc_cols, jc_vals = jc.arrays()
-    jg_rows, jg_cols, jg_vals = jg.arrays()
-    return ParamStamp(jc_rows, jc_cols, jc_vals, jg_rows, jg_cols, jg_vals)
-
-
-def param_stamps(netlist: Netlist, dofs: DofMap, p: Parameter) -> ParamStamp:
-    """Derivative stamps for one registered parameter."""
-    ids = {q.id for q in netlist.params}
-    if p.id not in ids:
-        raise KeyError(f"unknown parameter id {p.id}")
-    return _param_stamp(netlist, dofs, p)
+def _param_table(netlist: Netlist, dofs: DofMap) -> ParamTable:
+    """dJc/dp and dJg/dp of every parameter, in parameter order."""
+    stamps = _Triplets()
+    param = []
+    for p in netlist.params:
+        e = netlist.element(p.element)
+        count = len(stamps.vals)
+        if p.kind == "L":       # the branch stamp is -L
+            br = dofs.branch_index[e.name]
+            stamps.add(br, br, -1.0)
+        else:                   # d(1/R)/dR or d(C)/dC on the two-node pattern
+            stamps.add_pattern(_row(dofs, e.nodes[0]), _row(dofs, e.nodes[1]),
+                               -1.0 / p.nominal ** 2 if p.kind == "R" else 1.0)
+        param += [p.id] * (len(stamps.vals) - count)
+    rows, cols, vals = stamps.arrays()
+    param = np.asarray(param, dtype=np.intp)
+    # resistors stamp Jg, so their columns index phi, the second half of x
+    on_phi = np.array([p.kind == "R" for p in netlist.params], dtype=bool)
+    cols += dofs.n_dofs * on_phi[param]
+    return ParamTable(rows, cols, vals, param)
 
 
 def assemble(netlist: Netlist) -> StampedSystem:

@@ -45,6 +45,8 @@ class PararealConfig:
             raise ValueError("need at least one subinterval")
         if self.coarse_stride < 1:
             raise ValueError("coarse_stride must be >= 1")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass

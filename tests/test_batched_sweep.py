@@ -7,7 +7,9 @@ terms cancel (on B6 with m=8 a ladder-resistor sensitivity is 7e-12 of the
 sum of its terms' magnitudes), round-off in either order is a fixed
 fraction of that magnitude, not of the result.  So the paths are compared
 per instant and parameter against the quadrature of the absolute terms,
-|mu|^T (|dJc/dp| |phidot| + |dJg/dp| |phi|), to 1e-12.
+|mu|^T (|dJc/dp| |phidot| + |dJg/dp| |phi|), to 1e-12.  The per-instant
+quadrature itself is held, to the same bound, against the per-parameter
+loop over the stamps that it replaced, kept here as the reference.
 """
 
 import tracemalloc
@@ -18,10 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from pintsens import (PararealConfig, Qoi, SolverError, TimeGrid, Trajectory,
                       assemble, builtin_circuit, dc_operating_point, integrate,
-                      parse_netlist, pointwise_sensitivity, sensitivity_series,
-                      solve_adjoint)
+                      interval_sensitivity, parse_netlist,
+                      pointwise_sensitivity, sensitivity_series, solve_adjoint)
 from pintsens import adjoint, mna, propagators
-from pintsens.mna import ParamStamp
 
 RTOL = 1e-12
 
@@ -34,9 +35,32 @@ C1 out 0 1
 """
 
 
-def _absolute(stamp):
-    return ParamStamp(stamp.jc_rows, stamp.jc_cols, np.abs(stamp.jc_vals),
-                      stamp.jg_rows, stamp.jg_cols, np.abs(stamp.jg_vals))
+def stamp_loop_quadrature(sys, traj, weight_field, params, absolute=False):
+    """The per-parameter quadrature that ``pointwise_sensitivity`` and
+    ``interval_sensitivity`` summed before one product over the parameter
+    table replaced it: for each parameter, the weighted integrand
+    w_k^T (dJc/dp phidot_k + dJg/dp phi_k) from its own entries, its dJc/dp
+    part first, then the trapezoid rule.  With ``absolute``, stamp values,
+    states and weights enter by magnitude: the quadrature of the absolute
+    terms."""
+    m = weight_field.shape[0] - 1
+    if m == 0:
+        return np.zeros(len(params))
+    quad = adjoint._trapezoid_weights(m, traj.grid.dt)
+    t = sys.param_table
+    x = np.concatenate((traj.derivs[: m + 1], traj.states[: m + 1]), axis=1)
+    w, vals = weight_field, t.vals
+    if absolute:
+        x, w, vals = np.abs(x), np.abs(w), np.abs(vals)
+    out = []
+    for p in params:
+        integrand = np.zeros(m + 1)
+        for part in (t.cols < sys.n, t.cols >= sys.n):    # dJc/dp, dJg/dp
+            own = (t.param == p.id) & part
+            if own.any():
+                integrand += (w[:, t.rows[own]] * x[:, t.cols[own]]) @ vals[own]
+        out.append(quad @ integrand)
+    return np.array(out)
 
 
 def per_instant(sys, traj, qoi, params=None):
@@ -48,11 +72,8 @@ def per_instant(sys, traj, qoi, params=None):
     for t_m in qoi.instants:
         adj = solve_adjoint(sys, traj, t_m, qoi, cache)
         values.append(pointwise_sensitivity(sys, traj, adj, params))
-        m = adj.m_index
-        quad = adjoint._trapezoid_weights(m, traj.grid.dt) if m else np.zeros(1)
-        scale.append([quad @ _absolute(sys.param_stamps[p.id]).apply_series(
-            np.abs(traj.derivs[: m + 1]), np.abs(traj.states[: m + 1]),
-            np.abs(adj.mu)) for p in params])
+        scale.append(stamp_loop_quadrature(sys, traj, adj.mu, params,
+                                           absolute=True))
     return np.array(values), np.array(scale)
 
 
@@ -132,6 +153,37 @@ def test_unsorted_duplicated_and_boundary_instants(b6):
     np.testing.assert_array_equal(ser.values[0], ser.values[3])
     np.testing.assert_array_equal(ser.values[2], ser.values[6])
     np.testing.assert_array_equal(ser.instants, instants)
+
+
+@pytest.mark.parametrize("name,options", [
+    ("half_wave_rectifier", {"periods": 1.0}),
+    ("b6_bridge_reduced", {"dt": 1e-8}),
+    ("b6_bridge_reduced", {"m": 8, "dt": 2e-8}),
+])
+def test_per_instant_quadrature_equals_stamp_loop(name, options):
+    """``pointwise_sensitivity`` and ``interval_sensitivity``, one product
+    over the folded parameter table, against the per-parameter loop they
+    replace, for all parameters and for a shuffled subset with a
+    duplicate; B6 with m=8 runs on the sparse backend."""
+    nl = builtin_circuit(name, **options)
+    sys, grid, traj = solved(nl)
+    assert sys.dense == (options.get("m", 0) == 0)
+    adj = solve_adjoint(sys, traj, grid.times[-1], Qoi(nl.directives.qoi_node))
+    order = np.random.default_rng(5).permutation(len(sys.params))
+    subset = [sys.params[i] for i in order[: max(2, len(order) // 3)]]
+    subset.append(subset[0])
+    for params in (sys.params, tuple(subset)):
+        for quadrature, field in ((pointwise_sensitivity, adj.mu),
+                                  (interval_sensitivity, adj.lam)):
+            got = quadrature(sys, traj, adj, params)
+            ref = stamp_loop_quadrature(sys, traj, field, params)
+            scale = stamp_loop_quadrature(sys, traj, field, params,
+                                          absolute=True)
+            assert got.shape == (len(params),) and np.all(scale > 0)
+            err = np.abs(got - ref)
+            assert np.all(err <= RTOL * scale), (quadrature.__name__,
+                                                 np.max(err / scale))
+    assert got[-1] == got[0]
 
 
 def per_step_quadrature(sys, traj, qoi, steps, params):

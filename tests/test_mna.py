@@ -1,9 +1,9 @@
-"""MNA assembly: DoF layout, stamp patterns, parameter derivative stamps."""
+"""MNA assembly: DoF layout, stamp patterns, the parameter derivative table."""
 
 import numpy as np
 import pytest
 
-from pintsens import parse_netlist, assign_dofs, assemble
+from pintsens import parse_netlist, assign_dofs, assemble, builtin_circuit
 from pintsens.mna import diode_current
 from pintsens.netlist import DiodeModel
 
@@ -99,41 +99,65 @@ class TestLinearStamps:
         assert Jg[i_mid, [i_in, i_mid]].sum() == pytest.approx(1e-3)
 
 
+def apply_param(sys, p, phidot, phi):
+    """d(Jc phidot + Jg phi)/dp from the entries of p in the parameter
+    table."""
+    t = sys.param_table
+    own = t.param == p.id
+    out = np.zeros(sys.n)
+    np.add.at(out, t.rows[own],
+              t.vals[own] * np.concatenate((phidot, phi))[t.cols[own]])
+    return out
+
+
+def fd_residual_derivative(nl, p, phidot, phi):
+    """Central difference of the assembled Jc phidot + Jg phi in p, taken
+    on the matrices, so that the entries p does not touch cancel exactly
+    instead of leaving their round-off in the difference.  The step is
+    1e-4 p: the central difference of 1/R is off by (h/R)^2 relative,
+    which at 1e-3 p would equal the 1e-6 tolerance."""
+    h = p.nominal * 1e-4
+    plus, minus = (assemble(nl.with_element_value(p.element, value))
+                   for value in (p.nominal + h, p.nominal - h))
+    return ((dense(plus.Jc) - dense(minus.Jc)) @ phidot
+            + (dense(plus.Jg) - dense(minus.Jg)) @ phi) / (2 * h)
+
+
 class TestParamStamps:
     def test_one_stamp_per_parameter(self):
         sys = system(RLC)
-        assert len(sys.param_stamps) == len(sys.params) == 3
+        t = sys.param_table
+        assert len(sys.params) == 3
+        np.testing.assert_array_equal(np.unique(t.param), [0, 1, 2])
+        assert t.rows.shape == t.cols.shape == t.vals.shape == t.param.shape
+        assert t.rows.max() < sys.n and t.cols.max() < 2 * sys.n
 
     @pytest.mark.parametrize("name", ["R1", "L1", "C1"])
     def test_stamps_match_finite_differences(self, name):
-        """(d/dp)(Jc phidot + Jg phi) from the stamp vs assembled matrices."""
+        """(d/dp)(Jc phidot + Jg phi) from the table vs assembled matrices."""
         nl = parse_netlist(RLC)
         sys = assemble(nl)
         p = next(q for q in sys.params if q.name == name)
         rng = np.random.default_rng(7)
         phi = rng.standard_normal(sys.n)
         phidot = rng.standard_normal(sys.n)
-        got = sys.param_stamps[p.id].apply(phidot, phi)
+        np.testing.assert_allclose(apply_param(sys, p, phidot, phi),
+                                   fd_residual_derivative(nl, p, phidot, phi),
+                                   rtol=1e-6, atol=1e-12)
 
-        h = p.nominal * 1e-3
-        res = []
-        for value in (p.nominal + h, p.nominal - h):
-            s2 = assemble(nl.with_element_value(p.element, value))
-            res.append(dense(s2.Jc) @ phidot + dense(s2.Jg) @ phi)
-        fd = (res[0] - res[1]) / (2 * h)
-        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-12)
-
-    def test_apply_series_matches_loop(self):
-        sys = system(RLC)
-        rng = np.random.default_rng(3)
-        phi = rng.standard_normal((11, sys.n))
-        phidot = rng.standard_normal((11, sys.n))
-        w = rng.standard_normal((11, sys.n))
-        stamp = sys.param_stamps[0]
-        series = stamp.apply_series(phidot, phi, w)
-        loop = np.array([w[k] @ stamp.apply(phidot[k], phi[k])
-                         for k in range(11)])
-        np.testing.assert_allclose(series, loop, rtol=1e-12)
+    def test_b6_ladder_table_matches_finite_differences(self):
+        """Every R, L and C of the B6 bridge with one ladder section."""
+        nl = builtin_circuit("b6_bridge_reduced", m=1)
+        sys = assemble(nl)
+        assert {p.kind for p in sys.params} == {"R", "L", "C"}
+        rng = np.random.default_rng(11)
+        phi = rng.standard_normal(sys.n)
+        phidot = rng.standard_normal(sys.n)
+        for p in sys.params:
+            np.testing.assert_allclose(
+                apply_param(sys, p, phidot, phi),
+                fd_residual_derivative(nl, p, phidot, phi),
+                rtol=1e-6, atol=1e-12, err_msg=p.name)
 
 
 class TestDiode:

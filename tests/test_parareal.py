@@ -59,6 +59,8 @@ class TestConfig:
             PararealConfig(n_subintervals=0)
         with pytest.raises(ValueError):
             PararealConfig(n_subintervals=2, coarse_stride=0)
+        with pytest.raises(ValueError):
+            PararealConfig(n_subintervals=2, max_iter=0)
 
     def test_defaults(self):
         cfg = PararealConfig(n_subintervals=4)
