@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys as _sys
 import time
@@ -188,6 +189,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pintsens")
     sub = p.add_subparsers(dest="command", required=True)
@@ -202,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def parareal_options(sp):
         sp.add_argument("--workers", type=_positive_int, default=1)
-        sp.add_argument("--tol", type=float, default=1e-8)
+        sp.add_argument("--tol", type=_tolerance, default=1e-8)
         sp.add_argument("--stride", type=_positive_int, default=100)
 
     sp = sub.add_parser("simulate", help="forward transient solve to CSV")

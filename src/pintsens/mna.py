@@ -13,7 +13,7 @@ dJc/dp and dJg/dp of all parameters into one flat table, ``ParamTable``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -122,10 +122,7 @@ class _Devices:
     ramp: np.ndarray
     ramped: np.ndarray           # ramp > 0
     ramp_div: np.ndarray         # ramp, or 1 where there is none
-    # (t, switch conductances) of the last scalar time: replaced as one
-    # tuple, so threads evaluating other times always read a matching pair;
-    # a swap lost between threads only costs an evaluation
-    _last: tuple = field(default=(None, None), compare=False, repr=False)
+    inc_d: np.ndarray            # the diode columns of inc
 
     @classmethod
     def compile(cls, terminals, diodes, switches, n):
@@ -146,7 +143,8 @@ class _Devices:
             i_s=i_s, nvt=nvt, g_on=g_on, g_off=g_off, rise=g_on - g_off,
             fall=g_off - g_on, period=period, offset=offset, t_on=t_on,
             t_fall_end=t_on + ramp, ramp=ramp, ramped=ramp > 0.0,
-            ramp_div=np.where(ramp > 0.0, ramp, 1.0))
+            ramp_div=np.where(ramp > 0.0, ramp, 1.0),
+            inc_d=np.ascontiguousarray(inc[:, : len(diodes)]))
 
     # Every method below also takes stacked states phi (K, n) with times t
     # (K, 1) and gives one row per state, as one state and time give one.
@@ -178,43 +176,36 @@ class _Devices:
         return np.where(rising & self.ramped,
                         self.g_off + self.rise * (tau / self.ramp_div), g)
 
-    def _switch_at(self, t):
-        """``_switch(t)``, evaluated once per scalar time: Newton evaluates
-        each step's time at least twice, so the last scalar time's
-        conductances are kept, read-only, until another time comes.
-        Stacked times are evaluated on every call."""
-        if isinstance(t, np.ndarray):
-            return self._switch(t)
-        last = self._last
-        if last[0] == t:
-            return last[1]
-        g = self._switch(t)
-        g.flags.writeable = False
-        object.__setattr__(self, "_last", (t, g))
-        return g
-
     def currents(self, phi, t):
         """Device currents (into a, out of b) and conductances at (phi, t)."""
         v = phi @ self.inc
         nd = self.n_diodes
         if not nd:
-            g_s = self._switch_at(t)
+            g_s = self._switch(t)
             return g_s * v, g_s
         cur_d, g_d = self._diode(v[:nd])
         if not self.g_on.size:
             return cur_d, g_d
-        g_s = self._switch_at(t)
+        g_s = self._switch(t)
         return np.concatenate((cur_d, g_s * v[nd:])), np.concatenate((g_d, g_s))
+
+    def companion(self, phi, g_s):
+        """The devices linearized at one state phi, with switch
+        conductances g_s: their conductances g, and the equivalent row
+        currents inc_d @ (cur_d - g_d * v_d) of the diodes, so that
+        i_nl(x) = G(g) x + i_eq to first order about phi.  Switches are
+        linear in v and carry no equivalent current."""
+        v = phi @ self.inc_d
+        cur, g_d = self._diode(v)
+        g = np.concatenate((g_d, g_s)) if g_s.size else g_d
+        return g, self.inc_d @ (cur - g_d * v)
 
     def conductances(self, phi, t):
         """Device conductances alone at (phi, t)."""
-        g_s = self._switch_at(t)
+        g_s = self._switch(t)
         if not self.n_diodes:
             return g_s
-        # contiguous, as one state's diode voltages are, so that np.exp
-        # runs the same loop on a table as on a single state
-        v = np.ascontiguousarray((phi @ self.inc)[..., : self.n_diodes])
-        g_d = self._diode(v)[1]
+        g_d = self._diode(phi @ self.inc_d)[1]
         return np.concatenate((g_d, g_s), axis=-1)
 
 

@@ -13,6 +13,7 @@ pool; results are deterministic regardless of scheduling.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,6 +48,8 @@ class PararealConfig:
             raise ValueError("coarse_stride must be >= 1")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not 0.0 <= self.tol < math.inf:        # also rejects NaN
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass

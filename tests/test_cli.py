@@ -187,6 +187,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a positive integer" in err
 
+    @pytest.mark.parametrize("command", ["sens", "spectrum", "bench"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "x"])
+    def test_bad_tolerance_rejected_at_parse_time(self, monkeypatch, capsys,
+                                                  command, value):
+        monkeypatch.setitem(cli._COMMANDS, command, None)   # never dispatched
+        extra = ["--tm", "0.01", "--N", "2"] if command == "bench" else []
+        argv = [command, "builtin:half_wave_rectifier", *extra, "--tol", value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --tol: must be a finite number >= 0" in err
+
+    def test_zero_tolerance_accepted(self):
+        args = cli.build_parser().parse_args(
+            ["sens", "builtin:half_wave_rectifier", "--tol", "0"])
+        assert args.tol == 0.0
+
     def test_solver_failure_maps_to_two(self, monkeypatch, capsys):
         from pintsens import cli
         from pintsens.transient import SolverError

@@ -61,6 +61,10 @@ class TestConfig:
             PararealConfig(n_subintervals=2, coarse_stride=0)
         with pytest.raises(ValueError):
             PararealConfig(n_subintervals=2, max_iter=0)
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                PararealConfig(n_subintervals=2, tol=tol)
+        assert PararealConfig(n_subintervals=2, tol=0.0).tol == 0.0
 
     def test_defaults(self):
         cfg = PararealConfig(n_subintervals=4)

@@ -199,6 +199,38 @@ C1 out 0 1e-6
         assert grid.n_steps <= traj.newton_iters <= 50 * grid.n_steps
 
 
+class TestStartShape:
+    """A start state or derivative of another shape than (n,) is rejected,
+    never broadcast."""
+
+    def test_integrate_rejects_wrong_start_state(self):
+        sys, grid, x0 = rc_setup(1e-5)
+        for bad in (0.0, x0[:2], np.append(x0, 0.0), x0[:, None]):
+            with pytest.raises(ValueError, match=r"x0 must have shape \(3,\)"):
+                integrate(sys, bad, grid)
+        traj = integrate(sys, list(x0), grid)
+        assert np.array_equal(traj.states[0], x0)
+
+    def test_integrate_rejects_wrong_start_derivative(self):
+        sys = assemble(builtin_circuit("half_wave_rectifier"))
+        grid = TimeGrid(0.0, 1e-4, 1e-5)
+        x0 = dc_operating_point(sys, 0.0)
+        for bad in (1.0, np.ones(sys.n + 1)):
+            with pytest.raises(ValueError, match=r"deriv0 must have shape \(3,\)"):
+                integrate(sys, x0, grid, scheme="trapezoidal", deriv0=bad)
+        deriv0 = np.arange(1.0, sys.n + 1.0)
+        traj = integrate(sys, x0, grid, scheme="trapezoidal", deriv0=deriv0)
+        assert np.array_equal(traj.derivs[0], deriv0)
+
+    def test_dc_operating_point_rejects_wrong_guess(self):
+        sys, _, x0 = rc_setup(1e-5)
+        for bad in (5.0, np.zeros(sys.n + 1)):
+            with pytest.raises(ValueError, match=r"x0 must have shape \(3,\)"):
+                dc_operating_point(sys, x0=bad)
+        np.testing.assert_allclose(dc_operating_point(sys, x0=x0),
+                                   dc_operating_point(sys), rtol=0, atol=1e-12)
+
+
 class TestCsv:
     def test_roundtrip_precision(self, tmp_path):
         sys, grid, x0 = rc_setup(1e-5)
