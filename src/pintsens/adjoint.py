@@ -16,7 +16,9 @@ Every backward solve steps a block of adjoint columns with ``backward_steps``:
 ``solve_adjoint`` the block [mu, lam] of one instant, keeping both at every
 step; the parareal adjoint propagators the same block over one subinterval;
 ``sensitivity_series`` the mu columns of all analyzed instants in one sweep
-(mu is homogeneous below t_m), summing the quadrature as the sweep goes.
+(mu is homogeneous below t_m).  Every sensitivity is then one quadrature,
+``_quadrature``, fed mu by the sweep as it goes, or the stored mu or lam
+history of one instant by ``pointwise_sensitivity``/``interval_sensitivity``.
 """
 
 from __future__ import annotations
@@ -176,33 +178,51 @@ def mu_finite_difference(sys, traj, t_m, qoi,
     return (a1.lam[: m + 1] - a0.lam) / grid.dt
 
 
-def _trapezoid_weights(k: int, dt: float) -> np.ndarray:
-    w = np.full(k + 1, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+QUAD_CHUNK = 64     # grid points per quadrature chunk
 
 
-QUAD_CHUNK = 64     # grid points per quadrature product
+def _quadrature(sys, traj, params, starts, chunks) -> np.ndarray:
+    """The trapezoid quadrature of every sensitivity: for each column j of a
+    weight field w that switches on at the ascending grid index starts[j],
+    the sum over k = starts[j] .. 0 of w_k^T (dJc/dp phidot_k + dJg/dp phi_k)
+    with weight dt, or dt/2 at k = 0 and at k = starts[j], as a
+    (len(starts), len(params)) array.  ``chunks(rows)`` yields the
+    descending points in chunks (ks, first, terms): at ks[i] the columns
+    from first[i] on are on, and terms[i] holds w at the stamp ``rows``,
+    zero in the others; ``terms`` is overwritten.  The terms are added
+    point by point in that order, so equal w give equal floats."""
+    dt = traj.grid.dt
+    rows, cols, values = _stamp_entries(sys, params)
+    switch_on = np.append(starts, -1)
+    acc = np.zeros((rows.size, len(starts)))
+    for ks, first, terms in chunks(rows):
+        x = np.concatenate((traj.derivs[ks], traj.states[ks]), axis=1)[:, cols]
+        full = np.ones((len(ks), 1, len(starts)), bool)     # weight dt, not dt/2
+        full[ks == 0] = False
+        on = switch_on[first] == ks
+        full[on, 0, first[on]] = False
+        np.multiply(terms, (x * dt)[:, :, None], out=terms, where=full)
+        np.multiply(terms, (x * (0.5 * dt))[:, :, None], out=terms, where=~full)
+        for term in terms:
+            acc += term
+    return acc.T @ values
 
 
 def _weighted_integral(sys, traj, weight_field: np.ndarray, params) -> np.ndarray:
-    """Trapezoid quadrature of w^T (dJc/dp phidot + dJg/dp phi) over the
-    rows of the weight field w, summed per stamp entry.  The terms are
-    formed QUAD_CHUNK grid points at a time: as one (points, entries) array
-    they take megabytes on B6, mapped afresh on every call."""
+    """``_quadrature`` of the stored history w = weight_field over [0, t_m],
+    as one column that switches on at t_m, fed QUAD_CHUNK grid points at a
+    time from t_m down to t0."""
     m = weight_field.shape[0] - 1
     if m == 0:
         return np.zeros(len(params))
-    rows, cols, values = _stamp_entries(sys, params)
-    quad = _trapezoid_weights(m, traj.grid.dt)
-    phidot, phi = traj.derivs[: m + 1], traj.states[: m + 1]
-    total = np.zeros(rows.size)
-    for k in range(0, m + 1, QUAD_CHUNK):
-        s = slice(k, k + QUAD_CHUNK)
-        x = np.concatenate((phidot[s], phi[s]), axis=1)
-        total += quad[s] @ (weight_field[s, rows] * x[:, cols])
-    return total @ values
+
+    def chunks(rows):
+        for top in range(m, -1, -QUAD_CHUNK):
+            ks = np.arange(top, max(top - QUAD_CHUNK, -1), -1)
+            yield (ks, np.zeros(ks.size, np.intp),
+                   weight_field[ks[:, None], rows][:, :, None])
+
+    return _quadrature(sys, traj, params, (m,), chunks)[0]
 
 
 def pointwise_sensitivity(sys, traj, adj: AdjointSolution, params=None) -> np.ndarray:
@@ -267,48 +287,27 @@ def _batched_pointwise(sys, traj, qoi: Qoi, steps, params) -> np.ndarray:
 
     Column i of the (n, M) block holds mu for steps[i] and switches on
     there; the latest instants switch on first, so the active columns are
-    the block's last ones, and the others are exactly zero.  The trapezoid
-    quadrature of ``pointwise_sensitivity`` is summed per stamp entry: mu at
-    the stamp rows is kept for QUAD_CHUNK sweep points, then multiplied by
-    their weighted [phidot; phi] entries in one product, and the terms are
-    added point by point in sweep order.  So no lam/mu history is kept, and
-    the cache keeps only the last factorization."""
-    dt = traj.grid.dt
-    rows, cols, stamp_values = _stamp_entries(sys, params)
-    cache = AdjointCache(sys, traj)
-    cache._factors = StepFactors(sys, keep=1)
-    mu = np.zeros((sys.n, len(steps)), order="F")
-    acc = np.zeros((rows.size, len(steps)))
-    terms = np.empty((QUAD_CHUNK, rows.size, len(steps)))
-    points = []                       # (k, first) of the points in terms
-    for k, first in backward_steps(cache, mu, range(steps[-1], -1, -1), dt,
-                                   qoi.vector(sys.dofs), instants=steps):
-        mu.take(rows, axis=0, out=terms[len(points)])
-        points.append((k, first))
-        if len(points) == QUAD_CHUNK or k == 0:
-            _add_quadrature(acc, terms[: len(points)], traj, cols, steps,
-                            np.array(points), dt)
-            points.clear()
-    return acc.T @ stamp_values
+    the block's last ones, and the others are exactly zero.  mu at the stamp
+    rows is kept for QUAD_CHUNK sweep points and handed to ``_quadrature``
+    as one chunk.  So no lam/mu history is kept, and the cache keeps only
+    the last factorization."""
+    def chunks(rows):
+        cache = AdjointCache(sys, traj)
+        cache._factors = StepFactors(sys, keep=1)
+        mu = np.zeros((sys.n, len(steps)), order="F")
+        terms = np.empty((QUAD_CHUNK, rows.size, len(steps)))
+        points = []                   # (k, first) of the points in terms
+        for k, first in backward_steps(cache, mu, range(steps[-1], -1, -1),
+                                       traj.grid.dt, qoi.vector(sys.dofs),
+                                       instants=steps):
+            mu.take(rows, axis=0, out=terms[len(points)])
+            points.append((k, first))
+            if len(points) == QUAD_CHUNK or k == 0:
+                ks, firsts = np.array(points).T
+                yield ks, firsts, terms[: len(points)]
+                points.clear()
 
-
-def _add_quadrature(acc, terms, traj, cols, steps, points, dt):
-    """Adds terms[j] * (x_k * w) to acc for every sweep point (k, first) =
-    points[j], one point at a time in order, with x_k = [phidot_k; phi_k]
-    at ``cols`` and terms[j] holding mu at the stamp rows there: the same
-    floats, summed in the same order, as a step-by-step sum.  The weight w
-    is dt, or dt/2 at k = 0 and in the column that switches on at k, as
-    ``_trapezoid_weights`` has it."""
-    ks, first = points.T
-    x = np.concatenate((traj.derivs[ks], traj.states[ks]), axis=1)[:, cols]
-    full = np.ones((len(ks), 1, len(steps)), bool)     # weight dt, not dt/2
-    full[ks == 0] = False
-    on = np.append(steps, -1)[first] == ks             # column first switches on
-    full[on, 0, first[on]] = False
-    np.multiply(terms, (x * dt)[:, :, None], out=terms, where=full)
-    np.multiply(terms, (x * (0.5 * dt))[:, :, None], out=terms, where=~full)
-    for term in terms:
-        acc += term
+    return _quadrature(sys, traj, params, steps, chunks)
 
 
 def sensitivity_series(sys, traj, qoi: Qoi, params=None, parallel=None,

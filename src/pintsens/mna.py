@@ -265,23 +265,6 @@ class _Scatter:
                              shape=(self.n, self.n))
 
 
-class DeviceJacobian:
-    """d i_nl / d phi of one evaluation, held as the device-conductance
-    vector ``g``: device j stamps g[j] on the two-terminal pattern of its
-    nodes.  ``todense`` scatters it into an (n, n) array."""
-
-    __slots__ = ("g", "_sys")
-
-    def __init__(self, g: np.ndarray, sys: "StampedSystem"):
-        self.g = g
-        self._sys = sys
-
-    def todense(self) -> np.ndarray:
-        scatter = self._sys._scatter
-        m = scatter.matrix(scatter.devices(self.g))
-        return m if scatter.dense else m.toarray()
-
-
 @dataclass
 class StampedSystem:
     """Assembled, immutable system matrices and callbacks for one netlist."""
@@ -312,10 +295,10 @@ class StampedSystem:
 
     def eval_nonlinear(self, phi: np.ndarray, t: float):
         """Nonlinear/time-varying current i_nl(phi, t) and its Jacobian
-        d i_nl / d phi as a DeviceJacobian.  Nothing here depends on
-        dphi/dt."""
+        d i_nl / d phi as the device conductances g (``step_matrix`` has
+        G(g)).  Nothing here depends on dphi/dt."""
         cur, g = self._devices.currents(phi, t)
-        return self._devices.inc @ cur, DeviceJacobian(g, self)
+        return self._devices.inc @ cur, g
 
     def conductance_at(self, phi: np.ndarray, t) -> np.ndarray:
         """Device conductances g at (phi, t): the linearized system matrix

@@ -240,6 +240,16 @@ class Netlist:
 # parsing
 # --------------------------------------------------------------------------
 
+# the values GRAMMAR.md allows after an element's nodes, or after the
+# waveform name of a source, optional ones in brackets
+_FORMS = {"R": "value", "L": "value", "C": "value", "D": "[i_s [n [v_t]]]",
+          "S": "r_on r_off period duty [ramp [offset]]", "DC": "[level]",
+          "SINE": "amplitude frequency [phase]",
+          "PWM": "period duty [rise [fall [high [low [offset]]]]]"}
+_COUNTS = {form: (usage.count(" ") + 1 - usage.count("["), usage.count(" ") + 1)
+           for form, usage in _FORMS.items()}           # fewest, most
+
+
 def _parse_element(tokens, line):
     name = tokens[0]
     kind = name[0].upper()
@@ -251,48 +261,49 @@ def _parse_element(tokens, line):
     if a == b:
         raise NetlistError(f"element {name!r} connects a node to itself", line)
     rest = tokens[3:]
+    form = rest[0].upper() if kind in ("V", "I") else kind
+    if form not in _FORMS:
+        raise NetlistError(f"unknown waveform {rest[0]!r} for {name!r}", line)
+    if form != kind:
+        rest = rest[1:]
+    fewest, most = _COUNTS[form]
+    if not fewest <= len(rest) <= most:
+        head = " ".join(tokens[: len(tokens) - len(rest)])
+        raise NetlistError(f"{head!r} must be followed by {_FORMS[form]}, got "
+                           f"{len(rest)} values", line)
+    args = [parse_value(tok, line) for tok in rest]
 
     if kind in DIFFERENTIABLE_KINDS:
-        val = parse_value(rest[0], line)
+        val = args[0]
         if val <= 0.0:
             raise NetlistError(f"nonpositive value {val} for {name!r}", line)
         return Element(name, kind, (a, b), val)
 
     if kind in ("V", "I"):
-        wf = rest[0].upper()
-        args = [parse_value(tok, line) for tok in rest[1:]]
-        if wf == "DC":
-            value = DcWave(*args[:1] or [0.0])
-        elif wf == "SINE":
-            if len(args) < 2:
-                raise NetlistError(f"SINE needs amplitude and frequency for {name!r}", line)
+        if form == "DC":
+            value = DcWave(*args or [0.0])
+        elif form == "SINE":
             if args[1] <= 0:
                 raise NetlistError(f"nonpositive frequency for {name!r}", line)
-            value = SineWave(args[0], args[1], args[2] if len(args) > 2 else 0.0)
-        elif wf == "PWM":
-            if len(args) < 2:
-                raise NetlistError(f"PWM needs period and duty for {name!r}", line)
+            value = SineWave(*args)
+        else:                                   # PWM
+            if args[0] <= 0:
+                raise NetlistError(f"nonpositive PWM period for {name!r}", line)
             if not (0.0 <= args[1] <= 1.0):
                 raise NetlistError(f"duty outside [0, 1] for {name!r}", line)
             if any(v < 0 for v in args[2:4]):
                 raise NetlistError(f"negative rise/fall for {name!r}", line)
             value = PwmWave(*args)
-        else:
-            raise NetlistError(f"unknown waveform {rest[0]!r} for {name!r}", line)
         return Element(name, kind, (a, b), value)
 
     if kind == "D":
-        args = [parse_value(tok, line) for tok in rest]
-        model = DiodeModel(*args[:3])
+        model = DiodeModel(*args)
         if model.i_s <= 0 or model.n <= 0 or model.v_t <= 0:
             raise NetlistError(f"nonpositive diode model value for {name!r}", line)
         return Element(name, kind, (a, b), model)
 
     if kind == "S":
-        args = [parse_value(tok, line) for tok in rest]
-        if len(args) < 4:
-            raise NetlistError(f"switch {name!r} needs Ron Roff period duty", line)
-        model = SwitchModel(*args[:6])
+        model = SwitchModel(*args)
         if model.r_on <= 0 or model.r_off <= 0:
             raise NetlistError(f"nonpositive switch resistance for {name!r}", line)
         if model.r_off <= model.r_on:

@@ -58,13 +58,17 @@ def rank_parameters(series: SensitivitySeries, k: int):
     """Top-k parameters by score_i = integral |dU/dp_i(t_m)| * |p_i| dt_m.
 
     The nominal-value weighting makes Ohm, Henry and Farad sensitivities
-    commensurable.  Ties break lexicographically by parameter name.
+    commensurable.  The integral runs over the instants in ascending order,
+    whatever order the series holds them in.  Ties break lexicographically
+    by parameter name.
     """
     if k > len(series.params):
         raise ValueError(f"k={k} exceeds the {len(series.params)} parameters")
-    absvals = np.abs(series.values)
-    if len(series.instants) > 1:
-        integral = np.trapezoid(absvals, x=series.instants, axis=0)
+    instants = np.asarray(series.instants)
+    ascending = np.argsort(instants, kind="stable")
+    absvals = np.abs(series.values[ascending])
+    if len(instants) > 1:
+        integral = np.trapezoid(absvals, x=instants[ascending], axis=0)
     else:
         integral = absvals[0]
     scores = integral * _nominal_weights(series)

@@ -46,7 +46,8 @@ def stamp_loop_quadrature(sys, traj, weight_field, params, absolute=False):
     m = weight_field.shape[0] - 1
     if m == 0:
         return np.zeros(len(params))
-    quad = adjoint._trapezoid_weights(m, traj.grid.dt)
+    quad = np.full(m + 1, traj.grid.dt)
+    quad[[0, -1]] *= 0.5
     t = sys.param_table
     x = np.concatenate((traj.derivs[: m + 1], traj.states[: m + 1]), axis=1)
     w, vals = weight_field, t.vals
@@ -184,6 +185,49 @@ def test_per_instant_quadrature_equals_stamp_loop(name, options):
             assert np.all(err <= RTOL * scale), (quadrature.__name__,
                                                  np.max(err / scale))
     assert got[-1] == got[0]
+
+
+def per_point_quadrature(sys, traj, weight_field, params):
+    """The per-instant quadrature written point by point: from k = m down
+    to 0, w_k at the stamp rows times [phidot_k; phi_k] at the stamp
+    columns times dt, or dt/2 at k = 0 and at k = m, added in that order,
+    then one product with the folded stamp values."""
+    m = weight_field.shape[0] - 1
+    dt = traj.grid.dt
+    rows, cols, stamp_values = adjoint._stamp_entries(sys, params)
+    acc = np.zeros((rows.size, 1))
+    for k in range(m, -1, -1):
+        x = np.concatenate((traj.derivs[k], traj.states[k]))[cols]
+        acc[:, 0] += weight_field[k, rows] * (x * (0.5 * dt if k in (0, m)
+                                                   else dt))
+    return (acc.T @ stamp_values)[0]
+
+
+@pytest.mark.parametrize("name,options,n_steps", [
+    ("half_wave_rectifier", {"periods": 1.0}, None),
+    ("b6_bridge_reduced", {}, 400),
+    ("b6_bridge_reduced", {"m": 8}, 200),
+])
+def test_per_instant_quadrature_equals_per_point_sum(name, options, n_steps):
+    """``pointwise_sensitivity`` and ``interval_sensitivity`` sum their
+    terms in QUAD_CHUNK slices from t_m down to t0, and equal the per-point
+    sum bit for bit, at instants on both sides of the chunk boundaries and
+    at the last grid point; B6 with m=8 runs on the sparse backend."""
+    nl = builtin_circuit(name, **options)
+    sys = assemble(nl)
+    assert sys.dense == ("m" not in options)
+    d = nl.directives
+    grid = TimeGrid(0.0, d.t_end if n_steps is None else n_steps * d.dt, d.dt)
+    traj = integrate(sys, dc_operating_point(sys, 0.0), grid)
+    cache = adjoint.AdjointCache(sys, traj)
+    for m in (1, 63, 64, 65, 128, 129, grid.n_steps):
+        adj = solve_adjoint(sys, traj, grid.times[m], Qoi(d.qoi_node), cache)
+        for quadrature, field in ((pointwise_sensitivity, adj.mu),
+                                  (interval_sensitivity, adj.lam)):
+            ref = per_point_quadrature(sys, traj, field, sys.params)
+            np.testing.assert_array_equal(quadrature(sys, traj, adj), ref,
+                                          err_msg=f"{quadrature.__name__} m={m}")
+    assert np.any(ref)
 
 
 def per_step_quadrature(sys, traj, qoi, steps, params):

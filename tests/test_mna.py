@@ -193,9 +193,11 @@ R1 out 0 100
 .end
 """)
         phi = np.full(sys.n, 0.2)
-        i_nl, dnl = sys.eval_nonlinear(phi, 0.0)
+        i_nl, g = sys.eval_nonlinear(phi, 0.0)
         assert i_nl.shape == (sys.n,)
-        assert dense(dnl).shape == (sys.n, sys.n)
+        assert g.shape == (1,)
+        assert dense(sys._scatter.matrix(sys._scatter.devices(g))).shape \
+            == (sys.n, sys.n)
         # anti-symmetric node pair: current out of 'in' enters 'out'
         a = sys.dofs.node_index["in"]
         b = sys.dofs.node_index["out"]

@@ -88,6 +88,28 @@ class TestParsing:
             with pytest.raises(NetlistError, match="period"):
                 parse_netlist(text)
 
+    @pytest.mark.parametrize("line", ["V1 in 0 PWM 0 0.5",
+                                      "V1 in 0 PWM -1e-5 0.5"])
+    def test_nonpositive_pwm_period_rejected(self, line):
+        with pytest.raises(NetlistError, match="period") as exc:
+            parse_netlist(RC_TEXT.replace("V1 in 0 DC 1", line))
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("line", [
+        "R1 in out 1e3 5",
+        "V1 in 0 DC 1 2",
+        "V1 in 0 SINE 1 50 0 7",
+        "V1 in 0 PWM 1e-5 0.5 0 0 1 0 0 9",
+        "D1 in out 1e-12 1 0.02585 4",
+        "S1 in out 0.1 1e6 1e-5 0.5 1e-8 0 3",
+    ])
+    def test_values_beyond_the_grammar_rejected(self, line):
+        kind = line[0]
+        old = "V1 in 0 DC 1" if kind == "V" else "R1 in out 1e3"
+        with pytest.raises(NetlistError, match="followed by") as exc:
+            parse_netlist(RC_TEXT.replace(old, line))
+        assert exc.value.line == (2 if kind == "V" else 3)
+
     def test_sens_directive(self):
         text = RC_TEXT.replace(".end", ".sens 1e-3 2e-3 out\n.end")
         d = parse_netlist(text).directives

@@ -112,11 +112,13 @@ def test_compiled_devices_match_per_device_loop(name, options):
         clamped += any(terminal_voltage(sys, e, phi) / (e.value.n * e.value.v_t)
                        > mna.DIODE_EXP_CLAMP for e in nl.elements if e.kind == "D")
         i_ref, jac_ref = reference_eval(nl, sys, phi, t)
-        i_nl, jac = sys.eval_nonlinear(phi, t)
+        i_nl, g = sys.eval_nonlinear(phi, t)
         assert_rel(i_nl, i_ref, 1e-14)
-        assert_rel(jac.todense(), jac_ref, 1e-14)
-        np.testing.assert_array_equal(sys.conductance_at(phi, t), jac.g)
-        step = sys.step_matrix(coef_dt, coef_g, jac.g)
+        jac = sys._scatter.matrix(sys._scatter.devices(g))
+        jac = jac.toarray() if hasattr(jac, "toarray") else jac
+        assert_rel(jac, jac_ref, 1e-14)
+        np.testing.assert_array_equal(sys.conductance_at(phi, t), g)
+        step = sys.step_matrix(coef_dt, coef_g, g)
         step = np.asarray(step.todense()) if hasattr(step, "todense") else step
         assert_rel(step, coef_dt * Jc + coef_g * (Jg + jac_ref), 1e-14)
     if name in ("half_wave_rectifier", "mixed"):     # both diode branches
@@ -236,10 +238,10 @@ def correction_newton(sys, factors, phi, rhs_const, coef_dt, coef_g, t,
     coef_dt*Jc*phi + coef_g*(Jg*phi + i_nl(phi,t)) + rhs_const and solves
     the step matrix for the update."""
     for iters in range(1, max_iter + 1):
-        i_nl, jac = sys.eval_nonlinear(phi, t)
+        i_nl, g = sys.eval_nonlinear(phi, t)
         residual = coef_dt * (sys.Jc @ phi) + coef_g * (sys.Jg @ phi + i_nl) \
             + rhs_const
-        delta = factors.get(coef_dt, coef_g, jac.g).solve(-residual)
+        delta = factors.get(coef_dt, coef_g, g).solve(-residual)
         change = abs(delta).max()
         phi = phi + delta
         if change <= tol * (1.0 + abs(phi).max()):
@@ -342,7 +344,7 @@ def test_switch_conductances_are_evaluated_once_per_time(monkeypatch):
     for t in switch_edge_times(nl, np.random.default_rng(3), 10):
         g = sys.conductance_at(phi, t)
         assert_rel(g, np.array([m.conductance(t) for m in switches]), 1e-14)
-        np.testing.assert_array_equal(sys.eval_nonlinear(phi, t)[1].g, g)
+        np.testing.assert_array_equal(sys.eval_nonlinear(phi, t)[1], g)
     calls.clear()
     grid = TimeGrid(0.0, 50 * nl.directives.dt, nl.directives.dt)
     traj = integrate(sys, dc_operating_point(sys, 0.0), grid)

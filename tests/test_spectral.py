@@ -95,6 +95,16 @@ class TestRanking:
         (_, score), = rank_parameters(ser, 1)
         assert score == pytest.approx(2.0 * 2.0)   # trapezoid of |s| times |p|
 
+    def test_permuted_instants_give_the_same_ranking(self):
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((7, 3))
+        instants = np.cumsum(rng.uniform(0.1, 1.0, 7))
+        perm = rng.permutation(7)
+        ser = make_series(values, nominals=[1.0, 2.0, 0.5], instants=instants)
+        shuffled = make_series(values[perm], nominals=[1.0, 2.0, 0.5],
+                               instants=instants[perm])
+        assert rank_parameters(shuffled, 3) == rank_parameters(ser, 3)
+
     def test_ties_break_lexicographically(self):
         ser = make_series([[1.0, 1.0, 1.0]] * 3, nominals=[1.0, 1.0, 1.0])
         ranking = rank_parameters(ser, 3)
