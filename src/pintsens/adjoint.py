@@ -17,7 +17,7 @@ Every backward solve steps a block of adjoint columns with ``backward_steps``:
 step; the parareal adjoint propagators the same block over one subinterval;
 ``sensitivity_series`` the mu columns of all analyzed instants in one sweep
 (mu is homogeneous below t_m).  Every sensitivity is then one quadrature,
-``_quadrature``, fed mu by the sweep as it goes, or the stored mu or lam
+``_Quadrature``, fed mu by the sweep as it goes, or the stored mu or lam
 history of one instant by ``pointwise_sensitivity``/``interval_sensitivity``.
 """
 
@@ -181,62 +181,64 @@ def mu_finite_difference(sys, traj, t_m, qoi,
 QUAD_CHUNK = 64     # grid points per quadrature chunk
 
 
-def _quadrature(sys, traj, params, starts, chunks) -> np.ndarray:
+class _Quadrature:
     """The trapezoid quadrature of every sensitivity: for each column j of a
     weight field w that switches on at the ascending grid index starts[j],
     the sum over k = starts[j] .. 0 of w_k^T (dJc/dp phidot_k + dJg/dp phi_k)
-    with weight dt, or dt/2 at k = 0 and at k = starts[j], as a
-    (len(starts), len(params)) array.  ``chunks(rows)`` yields the
-    descending points in chunks (ks, first, terms): at ks[i] the columns
-    from first[i] on are on, and terms[i] holds w at the stamp ``rows``,
-    zero in the others; ``terms`` is overwritten.  The terms are added
-    point by point in that order, so equal w give equal floats."""
-    dt = traj.grid.dt
-    rows, cols, values = _stamp_entries(sys, params)
-    switch_on = np.append(starts, -1)
-    acc = np.zeros((rows.size, len(starts)))
-    for ks, first, terms in chunks(rows):
-        x = np.concatenate((traj.derivs[ks], traj.states[ks]), axis=1)[:, cols]
-        full = np.ones((len(ks), 1, len(starts)), bool)     # weight dt, not dt/2
+    with weight dt, or dt/2 at k = 0 and at k = starts[j], as ``total()``
+    of shape (len(starts), len(params)).  ``add`` takes the descending
+    points in chunks: at ks[i] the columns from first[i] on are on, and
+    terms[i] (overwritten) holds w at the stamp ``rows``, zero in the
+    others.  It adds them point by point in that order, so equal w give
+    equal floats."""
+
+    def __init__(self, sys, traj, params, starts):
+        self.traj = traj
+        self.rows, self.cols, self.values = _stamp_entries(sys, params)
+        self.switch_on = np.append(starts, -1)
+        self.acc = np.zeros((self.rows.size, len(starts)))
+
+    def add(self, ks, first, terms):
+        dt = self.traj.grid.dt
+        x = np.hstack((self.traj.derivs[ks], self.traj.states[ks]))[:, self.cols]
+        full = np.ones((len(ks), 1, self.acc.shape[1]), bool)  # dt, not dt/2
         full[ks == 0] = False
-        on = switch_on[first] == ks
+        on = self.switch_on[first] == ks
         full[on, 0, first[on]] = False
         np.multiply(terms, (x * dt)[:, :, None], out=terms, where=full)
         np.multiply(terms, (x * (0.5 * dt))[:, :, None], out=terms, where=~full)
         for term in terms:
-            acc += term
-    return acc.T @ values
+            self.acc += term
+
+    def total(self) -> np.ndarray:
+        return self.acc.T @ self.values
 
 
 def _weighted_integral(sys, traj, weight_field: np.ndarray, params) -> np.ndarray:
-    """``_quadrature`` of the stored history w = weight_field over [0, t_m],
+    """``_Quadrature`` of the stored history w = weight_field over [0, t_m],
     as one column that switches on at t_m, fed QUAD_CHUNK grid points at a
-    time from t_m down to t0."""
+    time from t_m down to t0; ``params`` defaults to all of them."""
+    if params is None:
+        params = sys.params
     m = weight_field.shape[0] - 1
     if m == 0:
         return np.zeros(len(params))
-
-    def chunks(rows):
-        for top in range(m, -1, -QUAD_CHUNK):
-            ks = np.arange(top, max(top - QUAD_CHUNK, -1), -1)
-            yield (ks, np.zeros(ks.size, np.intp),
-                   weight_field[ks[:, None], rows][:, :, None])
-
-    return _quadrature(sys, traj, params, (m,), chunks)[0]
+    quad = _Quadrature(sys, traj, params, (m,))
+    for top in range(m, -1, -QUAD_CHUNK):
+        ks = np.arange(top, max(top - QUAD_CHUNK, -1), -1)
+        quad.add(ks, np.zeros(ks.size, np.intp),
+                 weight_field[ks[:, None], quad.rows][:, :, None])
+    return quad.total()[0]
 
 
 def pointwise_sensitivity(sys, traj, adj: AdjointSolution, params=None) -> np.ndarray:
     """dU/dp_i at the analyzed instant: quadrature of
     mu^T (dJc/dp phidot + dJg/dp phi) over [0, t_m]."""
-    if params is None:
-        params = sys.params
     return _weighted_integral(sys, traj, adj.mu, params)
 
 
 def interval_sensitivity(sys, traj, adj: AdjointSolution, params=None) -> np.ndarray:
     """Time-integrated sensitivity over [0, t_m]: same quadrature with lam."""
-    if params is None:
-        params = sys.params
     return _weighted_integral(sys, traj, adj.lam, params)
 
 
@@ -288,26 +290,24 @@ def _batched_pointwise(sys, traj, qoi: Qoi, steps, params) -> np.ndarray:
     Column i of the (n, M) block holds mu for steps[i] and switches on
     there; the latest instants switch on first, so the active columns are
     the block's last ones, and the others are exactly zero.  mu at the stamp
-    rows is kept for QUAD_CHUNK sweep points and handed to ``_quadrature``
-    as one chunk.  So no lam/mu history is kept, and the cache keeps only
-    the last factorization."""
-    def chunks(rows):
-        cache = AdjointCache(sys, traj)
-        cache._factors = StepFactors(sys, keep=1)
-        mu = np.zeros((sys.n, len(steps)), order="F")
-        terms = np.empty((QUAD_CHUNK, rows.size, len(steps)))
-        points = []                   # (k, first) of the points in terms
-        for k, first in backward_steps(cache, mu, range(steps[-1], -1, -1),
-                                       traj.grid.dt, qoi.vector(sys.dofs),
-                                       instants=steps):
-            mu.take(rows, axis=0, out=terms[len(points)])
-            points.append((k, first))
-            if len(points) == QUAD_CHUNK or k == 0:
-                ks, firsts = np.array(points).T
-                yield ks, firsts, terms[: len(points)]
-                points.clear()
-
-    return _quadrature(sys, traj, params, steps, chunks)
+    rows is kept for QUAD_CHUNK sweep points and added to the
+    ``_Quadrature`` as one chunk.  So no lam/mu history is kept, and the
+    cache keeps only the last factorization."""
+    quad = _Quadrature(sys, traj, params, steps)
+    cache = AdjointCache(sys, traj)
+    cache._factors = StepFactors(sys, keep=1)
+    mu = np.zeros((sys.n, len(steps)), order="F")
+    terms = np.empty((QUAD_CHUNK, quad.rows.size, len(steps)))
+    points = []                       # (k, first) of the points in terms
+    for k, first in backward_steps(cache, mu, range(steps[-1], -1, -1),
+                                   traj.grid.dt, qoi.vector(sys.dofs),
+                                   instants=steps):
+        mu.take(quad.rows, axis=0, out=terms[len(points)])
+        points.append((k, first))
+        if len(points) == QUAD_CHUNK or k == 0:
+            quad.add(*np.array(points).T, terms[: len(points)])
+            points.clear()
+    return quad.total()
 
 
 def sensitivity_series(sys, traj, qoi: Qoi, params=None, parallel=None,

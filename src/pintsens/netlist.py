@@ -246,6 +246,7 @@ _FORMS = {"R": "value", "L": "value", "C": "value", "D": "[i_s [n [v_t]]]",
           "S": "r_on r_off period duty [ramp [offset]]", "DC": "[level]",
           "SINE": "amplitude frequency [phase]",
           "PWM": "period duty [rise [fall [high [low [offset]]]]]"}
+_WAVEFORMS = ("DC", "SINE", "PWM")
 _COUNTS = {form: (usage.count(" ") + 1 - usage.count("["), usage.count(" ") + 1)
            for form, usage in _FORMS.items()}           # fewest, most
 
@@ -255,16 +256,18 @@ def _parse_element(tokens, line):
     kind = name[0].upper()
     if kind not in ELEMENT_KINDS:
         raise NetlistError(f"unknown element kind {name[0]!r} in {name!r}", line)
-    if len(tokens) < 4:
-        raise NetlistError(f"element {name!r} needs two nodes and a value", line)
+    if len(tokens) < 3:
+        raise NetlistError(f"element {name!r} needs two nodes", line)
     a, b = tokens[1], tokens[2]
     if a == b:
         raise NetlistError(f"element {name!r} connects a node to itself", line)
-    rest = tokens[3:]
-    form = rest[0].upper() if kind in ("V", "I") else kind
-    if form not in _FORMS:
-        raise NetlistError(f"unknown waveform {rest[0]!r} for {name!r}", line)
-    if form != kind:
+    rest, form = tokens[3:], kind
+    if kind in ("V", "I"):
+        if not rest:
+            raise NetlistError(f"source {name!r} needs a waveform", line)
+        form = rest[0].upper()
+        if form not in _WAVEFORMS:
+            raise NetlistError(f"unknown waveform {rest[0]!r} for {name!r}", line)
         rest = rest[1:]
     fewest, most = _COUNTS[form]
     if not fewest <= len(rest) <= most:

@@ -64,11 +64,10 @@ def rank_parameters(series: SensitivitySeries, k: int):
     """
     if k > len(series.params):
         raise ValueError(f"k={k} exceeds the {len(series.params)} parameters")
-    instants = np.asarray(series.instants)
-    ascending = np.argsort(instants, kind="stable")
+    ascending = np.argsort(series.instants, kind="stable")
     absvals = np.abs(series.values[ascending])
-    if len(instants) > 1:
-        integral = np.trapezoid(absvals, x=instants[ascending], axis=0)
+    if len(ascending) > 1:
+        integral = np.trapezoid(absvals, x=series.instants[ascending], axis=0)
     else:
         integral = absvals[0]
     scores = integral * _nominal_weights(series)

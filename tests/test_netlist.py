@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pintsens.netlist import (Element, Netlist, NetlistError, parse_value,
-                              parse_netlist, serialize_netlist,
+from pintsens.netlist import (DiodeModel, Element, Netlist, NetlistError,
+                              parse_value, parse_netlist, serialize_netlist,
                               builtin_circuit, BUILTIN_CIRCUITS)
 
 
@@ -109,6 +109,17 @@ class TestParsing:
         with pytest.raises(NetlistError, match="followed by") as exc:
             parse_netlist(RC_TEXT.replace(old, line))
         assert exc.value.line == (2 if kind == "V" else 3)
+
+    @pytest.mark.parametrize("line", ["V1 in 0 R 5", "V1 in 0 D 1e-5 0.5",
+                                      "V1 in 0 S 0.1 1e6 1e-5 0.5"])
+    def test_element_kind_is_not_a_waveform(self, line):
+        with pytest.raises(NetlistError, match="unknown waveform") as exc:
+            parse_netlist(RC_TEXT.replace("V1 in 0 DC 1", line))
+        assert exc.value.line == 2
+
+    def test_bare_diode_takes_the_default_model(self):
+        nl = parse_netlist(RC_TEXT.replace("R1 in out 1e3", "D1 in out"))
+        assert nl.element("D1").value == DiodeModel()
 
     def test_sens_directive(self):
         text = RC_TEXT.replace(".end", ".sens 1e-3 2e-3 out\n.end")
