@@ -57,10 +57,6 @@ def _resolve_dof(dofs, name: str) -> int:
         return dofs.branch_index[name]
     if name in dofs.names:
         return dofs.names.index(name)
-    if name.startswith("v(") and name.endswith(")"):
-        return dofs.node_index[name[2:-1]]
-    if name.startswith("i(") and name.endswith(")"):
-        return dofs.branch_index[name[2:-1]]
     raise KeyError(f"unknown DoF {name!r}")
 
 

@@ -14,7 +14,7 @@ import math
 import re
 import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,18 +52,6 @@ class BenchRecord:
     speedup: float
     efficiency: float
     iterations: int
-
-    def as_dict(self):
-        return {
-            "n_subintervals": self.n_subintervals,
-            "fine_time_s": self.fine_time_s,
-            "coarse_time_s": self.coarse_time_s,
-            "total_wall_s": self.total_wall_s,
-            "sequential_wall_s": self.sequential_wall_s,
-            "speedup": self.speedup,
-            "efficiency": self.efficiency,
-            "iterations": self.iterations,
-        }
 
 
 def run_bench(netlist, t_m, qoi, n_list, workers=1, repetitions=1,
@@ -112,7 +100,7 @@ def run_bench(netlist, t_m, qoi, n_list, workers=1, repetitions=1,
 
 
 def write_bench_table(records, out_dir: Path):
-    rows = [r.as_dict() for r in records]
+    rows = [asdict(r) for r in records]
     (out_dir / "bench.json").write_text(json.dumps(rows, indent=2) + "\n")
     cols = list(rows[0].keys()) if rows else []
     with open(out_dir / "bench.csv", "w") as f:

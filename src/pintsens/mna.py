@@ -104,25 +104,23 @@ def _accumulate(index, weights, length):
 @dataclass(frozen=True)
 class _Devices:
     """Diodes, then switches, each in netlist order, compiled into flat
-    arrays.  ``inc`` is the (n, m) incidence of the devices: device j has
-    +1 at its terminal a and -1 at b, and ground has no row, so phi @ inc
-    are the terminal voltages and inc @ cur the row currents."""
+    arrays of their model values.  ``inc`` is the (n, m) incidence of the
+    devices: device j has +1 at its terminal a and -1 at b, and ground has
+    no row, so phi @ inc are the terminal voltages and inc @ cur the row
+    currents.  ``currents`` evaluates every device for one state or for
+    stacked states; Newton's ``companion`` evaluates only the diodes, since
+    the switch conductances of a step are known before it."""
     inc: np.ndarray
     n_diodes: int
     i_s: np.ndarray              # diodes: saturation current, n * v_t
     nvt: np.ndarray
     g_on: np.ndarray             # switches: SwitchModel.conductance, per field
     g_off: np.ndarray
-    rise: np.ndarray             # g_on - g_off
-    fall: np.ndarray             # g_off - g_on
     period: np.ndarray
     offset: np.ndarray
     t_on: np.ndarray
-    t_fall_end: np.ndarray       # t_on + ramp
     ramp: np.ndarray
-    ramped: np.ndarray           # ramp > 0
-    ramp_div: np.ndarray         # ramp, or 1 where there is none
-    inc_d: np.ndarray            # the diode columns of inc
+    inc_d: np.ndarray            # the diode columns of inc, contiguous
 
     @classmethod
     def compile(cls, terminals, diodes, switches, n):
@@ -137,13 +135,10 @@ class _Devices:
         r_on, r_off, period, duty, ramp, offset = np.array(
             [(m.r_on, m.r_off, m.period, m.duty, m.ramp, m.offset)
              for m in switches], dtype=float).reshape(-1, 6).T
-        g_on, g_off, t_on = 1.0 / r_on, 1.0 / r_off, duty * period
         return cls(
-            inc=inc, n_diodes=len(diodes),
-            i_s=i_s, nvt=nvt, g_on=g_on, g_off=g_off, rise=g_on - g_off,
-            fall=g_off - g_on, period=period, offset=offset, t_on=t_on,
-            t_fall_end=t_on + ramp, ramp=ramp, ramped=ramp > 0.0,
-            ramp_div=np.where(ramp > 0.0, ramp, 1.0),
+            inc=inc, n_diodes=len(diodes), i_s=i_s, nvt=nvt,
+            g_on=1.0 / r_on, g_off=1.0 / r_off, period=period, offset=offset,
+            t_on=duty * period, ramp=ramp,
             inc_d=np.ascontiguousarray(inc[:, : len(diodes)]))
 
     # Every method below also takes stacked states phi (K, n) with times t
@@ -152,7 +147,7 @@ class _Devices:
     def _diode(self, v):
         """Currents and conductances as diode_current, elementwise."""
         x = v / self.nvt
-        if x.max() <= DIODE_EXP_CLAMP:                # none clamped
+        if x.max(initial=-np.inf) <= DIODE_EXP_CLAMP:     # none clamped
             return self.i_s * np.expm1(x), self.i_s * np.exp(x) / self.nvt
         xc = np.minimum(x, DIODE_EXP_CLAMP)
         e = np.exp(xc)
@@ -165,29 +160,24 @@ class _Devices:
         """Conductances as SwitchModel.conductance, elementwise."""
         if not self.g_on.size:
             return np.empty(np.shape(t)[:-1] + (0,))
+        g_on, g_off, t_on, ramp = self.g_on, self.g_off, self.t_on, self.ramp
         tau = np.remainder(t - self.offset, self.period)
-        g = np.where(tau < self.t_on, self.g_on, self.g_off)
-        rising = tau < self.ramp
-        falling = (self.t_on <= tau) & (tau < self.t_fall_end)
-        if not (rising | falling).any():        # no switch inside a ramp
-            return g
-        g = np.where(falling & self.ramped,
-                     self.g_on + self.fall * ((tau - self.t_on) / self.ramp_div), g)
-        return np.where(rising & self.ramped,
-                        self.g_off + self.rise * (tau / self.ramp_div), g)
+        g = np.where(tau < t_on, g_on, g_off)
+        # tau >= 0, so no tau lies inside a ramp of length 0, and what a
+        # zero ramp divides is never selected
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where((t_on <= tau) & (tau < t_on + ramp),
+                         g_on + (g_off - g_on) * ((tau - t_on) / ramp), g)
+            return np.where(tau < ramp, g_off + (g_on - g_off) * (tau / ramp), g)
 
     def currents(self, phi, t):
         """Device currents (into a, out of b) and conductances at (phi, t)."""
         v = phi @ self.inc
         nd = self.n_diodes
-        if not nd:
-            g_s = self._switch(t)
-            return g_s * v, g_s
-        cur_d, g_d = self._diode(v[:nd])
-        if not self.g_on.size:
-            return cur_d, g_d
+        cur_d, g_d = self._diode(v[..., :nd])
         g_s = self._switch(t)
-        return np.concatenate((cur_d, g_s * v[nd:])), np.concatenate((g_d, g_s))
+        return (np.concatenate((cur_d, g_s * v[..., nd:]), axis=-1),
+                np.concatenate((g_d, g_s), axis=-1))
 
     def companion(self, phi, g_s):
         """The devices linearized at one state phi, with switch
@@ -199,14 +189,6 @@ class _Devices:
         cur, g_d = self._diode(v)
         g = np.concatenate((g_d, g_s)) if g_s.size else g_d
         return g, self.inc_d @ (cur - g_d * v)
-
-    def conductances(self, phi, t):
-        """Device conductances alone at (phi, t)."""
-        g_s = self._switch(t)
-        if not self.n_diodes:
-            return g_s
-        g_d = self._diode(phi @ self.inc_d)[1]
-        return np.concatenate((g_d, g_s), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -304,7 +286,7 @@ class StampedSystem:
         """Device conductances g at (phi, t): the linearized system matrix
         there is Jg + G(g), see ``step_matrix``.  Stacked states phi (K, n)
         with times t (K, 1) give the (K, m) table of their rows."""
-        return self._devices.conductances(phi, t)
+        return self._devices.currents(phi, t)[1]
 
     def step_matrix(self, coef_dt: float, coef_g: float, g: np.ndarray):
         """coef_dt*Jc + coef_g*(Jg + G(g)), scattered into an ndarray when

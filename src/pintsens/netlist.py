@@ -215,10 +215,6 @@ class Netlist:
         except KeyError:
             raise KeyError(name) from None
 
-    @property
-    def sources(self) -> tuple[Element, ...]:
-        return tuple(e for e in self.elements if e.kind in ("V", "I"))
-
     def with_element_value(self, name: str, value: float) -> "Netlist":
         """Copy with one R/L/C element's value replaced (nominals re-derived)."""
         elements = []

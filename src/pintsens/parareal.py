@@ -16,7 +16,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -64,15 +64,9 @@ class PararealReport:
     interface_states: list = field(default_factory=list)   # after final update
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n_subintervals": self.n_subintervals,
-            "iterations": self.iterations,
-            "jump_history": self.jump_history,
-            "coarse_time_s": self.coarse_time_s,
-            "fine_times_s": self.fine_times_s,
-            "total_wall_s": self.total_wall_s,
-            "converged": self.converged,
-        })
+        """Every field but ``interface_states``, in field order."""
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)
+                           if f.name != "interface_states"})
 
 
 def partition(grid: TimeGrid, n: int):

@@ -1,11 +1,12 @@
 """Fine and coarse circuit propagators for the parallel-in-time solver.
 
-Forward propagators wrap the transient integrator at full resolution (fine)
-or with the timestep widened by the coarse stride (coarse).  The adjoint
-propagator evolves the stacked state [lam; mu] backward in time, expressed
-on the reversed axis sigma = t_m - t so the orchestrator always sees an
-initial value problem running left to right; the fine one is its stride-1
-case.  Both run ``adjoint.backward_steps`` on the solve's ``AdjointCache``.
+The forward propagator wraps the transient integrator with the timestep
+widened by the coarse stride.  The adjoint propagator evolves the stacked
+state [lam; mu] backward in time, expressed on the reversed axis
+sigma = t_m - t so the orchestrator always sees an initial value problem
+running left to right, with ``adjoint.backward_steps`` on the solve's
+``AdjointCache``.  Both step a subinterval's whole fine steps in equal
+coarse ones, and the fine propagator of each is its stride-1 case.
 """
 
 from __future__ import annotations
@@ -30,20 +31,11 @@ def _coarse_substeps(length: float, dt_fine: float, stride: int) -> int:
     return n
 
 
-class FineForwardPropagator:
-    def __init__(self, sys: StampedSystem, dt: float, scheme="implicit_euler"):
-        self.sys = sys
-        self.dt = dt
-        self.scheme = scheme
-
-    def evolve(self, state, t_start, t_end):
-        grid = TimeGrid(t_start, t_end, self.dt)
-        traj = integrate(self.sys, state, grid, scheme=self.scheme)
-        piece = (traj.times, traj.states, traj.derivs)
-        return traj.states[-1], piece
-
-
 class CoarseForwardPropagator:
+    """Transient steps over a subinterval, each about ``stride`` fine steps
+    wide: the subinterval's whole fine steps split into equal coarse ones,
+    as the adjoint propagator splits them."""
+
     def __init__(self, sys: StampedSystem, dt: float, stride: int,
                  scheme="implicit_euler"):
         self.sys = sys
@@ -52,10 +44,23 @@ class CoarseForwardPropagator:
         self.scheme = scheme
 
     def evolve(self, state, t_start, t_end):
+        steps = int(round((t_end - t_start) / self.dt))
         n = _coarse_substeps(t_end - t_start, self.dt, self.stride)
-        grid = TimeGrid(t_start, t_end, (t_end - t_start) / n)
+        grid = TimeGrid(t_start, t_end, self.dt * (steps / n))
         traj = integrate(self.sys, state, grid, scheme=self.scheme)
-        return traj.states[-1], None
+        return traj.states[-1], (traj.times, traj.states, traj.derivs)
+
+
+class FineForwardPropagator(CoarseForwardPropagator):
+    """The stride-1 case: every fine step, so the step width is dt and the
+    piece is the fine solution on the subinterval."""
+
+    # an attribute of its own, so that wrapping one class's evolve (timing
+    # fine and coarse apart) leaves the other's alone
+    evolve = CoarseForwardPropagator.evolve
+
+    def __init__(self, sys: StampedSystem, dt: float, scheme="implicit_euler"):
+        super().__init__(sys, dt, 1, scheme)
 
 
 class CoarseAdjointPropagator:

@@ -166,6 +166,8 @@ class TestExitCodes:
 
     def test_bad_qoi_is_input_error(self, rect_file, capsys):
         assert main(["sens", str(rect_file), "--qoi", "***"]) == 1
+        assert main(["sens", str(rect_file), "--qoi", "v(nosuch)"]) == 1
+        assert "unknown DoF 'v(nosuch)'" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

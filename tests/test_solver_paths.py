@@ -142,9 +142,9 @@ C1 out 0 1e-6
     ("rc", {}),                            # no devices: a (K, 0) table
 ])
 def test_stacked_conductances_equal_per_state_calls(name, options):
-    """conductance_at on (K, n) states and (K, 1) times equals K calls on
-    one state each, bit for bit: past the diode exponent clamp, inside the
-    switch ramps, and on a forward trajectory."""
+    """conductance_at and the device currents on (K, n) states and (K, 1)
+    times equal K calls on one state each, bit for bit: past the diode
+    exponent clamp, inside the switch ramps, and on a forward trajectory."""
     texts = {"mixed": MIXED, "rc": RC_ONLY}
     nl = parse_netlist(texts[name]) if name in texts \
         else builtin_circuit(name, **options)
@@ -161,6 +161,9 @@ def test_stacked_conductances_equal_per_state_calls(name, options):
         rows = [sys.conductance_at(phi, t) for phi, t in zip(states, ts)]
         assert table.shape == (len(ts), rows[0].size)
         np.testing.assert_array_equal(table, np.array(rows).reshape(table.shape))
+        cur = sys._devices.currents(states, ts[:, None])[0]
+        rows = [sys._devices.currents(phi, t)[0] for phi, t in zip(states, ts)]
+        np.testing.assert_array_equal(cur, np.array(rows).reshape(cur.shape))
     clamped = [terminal_voltage(sys, e, phi) / (e.value.n * e.value.v_t)
                > mna.DIODE_EXP_CLAMP for phi in phis for e in nl.elements
                if e.kind == "D"]

@@ -79,9 +79,10 @@ class TestTimeGrid:
             for n in (2, 3, 8):
                 for t_start, t_end, _, _ in partition(grid, n):
                     TimeGrid(t_start, t_end, grid.dt)
+                    steps = int(round((t_end - t_start) / grid.dt))
                     for stride in (25, 100):
                         sub = _coarse_substeps(t_end - t_start, grid.dt, stride)
-                        TimeGrid(t_start, t_end, (t_end - t_start) / sub)
+                        TimeGrid(t_start, t_end, grid.dt * (steps / sub))
             for t_m in grid.times[1:]:
                 TimeGrid(grid.t0, grid.t0 + (t_m - grid.t0), grid.dt)
 
