@@ -69,40 +69,36 @@ class AdjointSolution:
     mu: np.ndarray               # (m_index+1, n), d lam / d t_m
 
 
-def backward_factor(factors: StepFactors, g_k: np.ndarray, k: int,
-                    t_k: float, dt: float):
-    """Factorization of the step matrix Jc/dt + Jg + G(g_k), with g_k the
-    device conductances at the forward state of step k (time t_k); a
-    backward adjoint step solves with its transpose."""
-    try:
-        return factors.get(1.0 / dt, 1.0, g_k)
-    except SolverError as exc:
-        raise SolverError(exc.message, k, t_k, dof=exc.dof) from None
-
-
 class AdjointCache:
     """Factorizations of the backward step matrices Jc/dt + Jg(t_k) along
     the forward trajectory, for ``backward_steps``: one per distinct (step
     width, linearization), shared by the ``solve_adjoint`` calls given the
     same cache and by both parareal propagators of one solve, on any number
     of threads.  The device conductances of every step come from one
-    stacked ``conductance_at`` call when the cache is built.  The batched
-    sweep's cache keeps only the last factorization."""
+    stacked ``conductance_at`` call when the cache is built.  Keeps the
+    ``keep`` most recent factorizations (all when None); the batched
+    sweep, which never returns to a step, keeps one."""
 
-    def __init__(self, sys: StampedSystem, traj: Trajectory):
+    def __init__(self, sys: StampedSystem, traj: Trajectory,
+                 keep: Optional[int] = None):
         self.sys = sys
         self.traj = traj
         self.dt = traj.grid.dt
         self.JcT = sys.Jc.T.tocsr() if sp.issparse(sys.Jc) else sys.Jc.T.copy()
         self._times = traj.times
         self._g = sys.conductance_at(traj.states, self._times[:, None])
-        self._factors = StepFactors(sys)
+        self._factors = StepFactors(sys, keep)
 
     def factor(self, k: int, dt: Optional[float] = None):
         """Factorization of Jc/dt + Jg(t_k), by default with the grid step;
-        a backward step is its transposed solve."""
-        return backward_factor(self._factors, self._g[k], k, self._times[k],
-                               self.dt if dt is None else dt)
+        a backward step is its transposed solve.  A singular one raises
+        ``SolverError`` at step k and its time."""
+        try:
+            return self._factors.get(1.0 / (self.dt if dt is None else dt),
+                                     1.0, self._g[k])
+        except SolverError as exc:
+            raise SolverError(exc.message, k, self._times[k],
+                              dof=exc.dof) from None
 
     def solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
         """Solve (Jc/dt + Jg(t_k))^T x = rhs; rhs may be (n,) or (n, m)."""
@@ -290,8 +286,7 @@ def _batched_pointwise(sys, traj, qoi: Qoi, steps, params) -> np.ndarray:
     ``_Quadrature`` as one chunk.  So no lam/mu history is kept, and the
     cache keeps only the last factorization."""
     quad = _Quadrature(sys, traj, params, steps)
-    cache = AdjointCache(sys, traj)
-    cache._factors = StepFactors(sys, keep=1)
+    cache = AdjointCache(sys, traj, keep=1)
     mu = np.zeros((sys.n, len(steps)), order="F")
     terms = np.empty((QUAD_CHUNK, quad.rows.size, len(steps)))
     points = []                       # (k, first) of the points in terms

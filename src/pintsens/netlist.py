@@ -52,7 +52,10 @@ def parse_value(token: str, line: Optional[int] = None) -> float:
         elif s[0] in _SUFFIXES:
             scale = _SUFFIXES[s[0]]
         # any remaining letters are a unit annotation (e.g. "5V") and ignored
-    return float(mantissa) * scale
+    value = float(mantissa) * scale
+    if not math.isfinite(value):          # an overflowing "1e400", "1e303meg"
+        raise NetlistError(f"value {token!r} is not finite", line)
+    return value
 
 
 def format_value(x: float) -> str:

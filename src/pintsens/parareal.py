@@ -120,9 +120,9 @@ def _run_fine(fine, states, subs, workers):
     return ends, pieces, times
 
 
-def _stitch(pieces, grid: TimeGrid, subs, n_dim) -> Trajectory:
-    states = np.empty((grid.n_steps + 1, n_dim))
-    derivs = np.zeros((grid.n_steps + 1, n_dim))
+def _stitch(pieces, grid: TimeGrid, subs, shape) -> Trajectory:
+    states = np.empty((grid.n_steps + 1, *shape))
+    derivs = np.zeros((grid.n_steps + 1, *shape))
     for piece, (_, _, k0, k1) in zip(pieces, subs):
         times, p_states, p_derivs = piece
         start = 0 if k0 == 0 else 1     # interface point owned by left piece
@@ -182,6 +182,6 @@ def parareal_solve(fine: Propagator, coarse: Propagator, x0, grid: TimeGrid,
     report.fine_times_s = list(fine_sums / report.iterations) \
         if report.iterations else []
     report.total_wall_s = time.perf_counter() - wall_start
-    traj = _stitch(pieces, grid, subs, x0.shape[0]) if pieces is not None else None
+    traj = _stitch(pieces, grid, subs, x0.shape) if pieces is not None else None
     return traj, report
 

@@ -1,10 +1,10 @@
 """Fine and coarse circuit propagators for the parallel-in-time solver.
 
 The forward propagator wraps the transient integrator with the timestep
-widened by the coarse stride.  The adjoint propagator evolves the stacked
-state [lam; mu] backward in time, expressed on the reversed axis
-sigma = t_m - t so the orchestrator always sees an initial value problem
-running left to right, with ``adjoint.backward_steps`` on the solve's
+widened by the coarse stride.  The adjoint propagator evolves the (n, 2)
+block [mu, lam] of ``adjoint.backward_steps`` backward in time, expressed
+on the reversed axis sigma = t_m - t so the orchestrator always sees an
+initial value problem running left to right, with the solve's
 ``AdjointCache``.  Both step a subinterval's whole fine steps in equal
 coarse ones, and the fine propagator of each is its stride-1 case.
 """
@@ -21,14 +21,12 @@ from .parareal import PararealReport, parareal_solve
 from .transient import TimeGrid, Trajectory, integrate
 
 
-def _coarse_substeps(length: float, dt_fine: float, stride: int) -> int:
-    steps = length / dt_fine
-    n = int(round(steps / stride))
+def _coarse_substeps(steps: int, stride: int) -> int:
+    n = round(steps / stride)
     if n < 1:
         warnings.warn("coarse stride exceeds subinterval length; "
                       "degenerating to a single coarse step")
-        n = 1
-    return n
+    return max(n, 1)
 
 
 class CoarseForwardPropagator:
@@ -44,8 +42,8 @@ class CoarseForwardPropagator:
         self.scheme = scheme
 
     def evolve(self, state, t_start, t_end):
-        steps = int(round((t_end - t_start) / self.dt))
-        n = _coarse_substeps(t_end - t_start, self.dt, self.stride)
+        steps = TimeGrid(t_start, t_end, self.dt).n_steps
+        n = _coarse_substeps(steps, self.stride)
         grid = TimeGrid(t_start, t_end, self.dt * (steps / n))
         traj = integrate(self.sys, state, grid, scheme=self.scheme)
         return traj.states[-1], (traj.times, traj.states, traj.derivs)
@@ -64,10 +62,10 @@ class FineForwardPropagator(CoarseForwardPropagator):
 
 
 class CoarseAdjointPropagator:
-    """Backward implicit-Euler steps for the stacked [lam; mu] state on the
-    reversed axis, each about ``stride`` fine steps wide: one
-    ``backward_steps`` call over the subinterval, each step linearized at
-    the fine grid point where it ends, as in ``solve_adjoint``."""
+    """Backward implicit-Euler steps of the block [mu, lam] on the reversed
+    axis, each about ``stride`` fine steps wide: one ``backward_steps``
+    call over the subinterval, each step linearized at the fine grid point
+    where it ends, as in ``solve_adjoint``."""
 
     def __init__(self, cache: AdjointCache, m_index: int, e_u: np.ndarray,
                  stride: int):
@@ -79,19 +77,16 @@ class CoarseAdjointPropagator:
     def evolve(self, state, s_start, s_end):
         cache = self.cache
         dt = cache.dt
-        t0 = cache.traj.grid.t0
-        n = cache.sys.n
-        k_hi = self.m_index - int(round((s_start - t0) / dt))
-        k_lo = self.m_index - int(round((s_end - t0) / dt))
-        steps = k_hi - k_lo
-        n_sub = _coarse_substeps(s_end - s_start, dt, self.stride)
+        index_of = cache.traj.grid.index_of
+        k_hi = self.m_index - index_of(s_start)
+        steps = index_of(s_end) - index_of(s_start)
+        n_sub = _coarse_substeps(steps, self.stride)
         ks = [k_hi - int(round(j * steps / n_sub)) for j in range(n_sub + 1)]
-        # [lam; mu] as the block [mu, lam] of backward_steps
-        X = np.array(np.reshape(state, (2, n))[::-1].T, dtype=float, order="F")
-        states = np.empty((n_sub + 1, 2 * n))
+        X = np.array(state, order="F")
+        states = np.empty((n_sub + 1, *X.shape))
         for j, _ in enumerate(backward_steps(cache, X, ks, dt * (steps / n_sub),
                                              self.e_u, lam=True)):
-            states[j] = X.T[::-1].ravel()
+            states[j] = X
         times = s_start + dt * (k_hi - np.array(ks))
         return states[-1], (times, states, None)
 
@@ -120,10 +115,10 @@ def parareal_adjoint_solve(sys: StampedSystem, traj: Trajectory, t_m: float,
                            qoi: Qoi, cfg, workers: int = 1):
     """Backward adjoint solve for one analyzed instant through parareal.
 
-    The stacked [lam; mu] state is propagated on the reversed time axis; the
-    terminal value of mu is the stepper's activation at t_m.  The activation
-    and both propagators share one ``AdjointCache``, so each linearization
-    is factorized once for all iterations.
+    The block [mu, lam] of ``backward_steps`` is propagated on the reversed
+    time axis from the stepper's first point at t_m.  The activation and
+    both propagators share one ``AdjointCache``, so each linearization is
+    factorized once for all iterations.
     """
     grid = traj.grid
     m = grid.index_of(t_m)
@@ -138,15 +133,14 @@ def parareal_adjoint_solve(sys: StampedSystem, traj: Trajectory, t_m: float,
     # the stepper's first point: lam(t_m) = 0 and mu(t_m) switched on
     X = np.zeros((n, 2), order="F")
     next(backward_steps(cache, X, (m, m - 1), dt, e_u, instants=(m,), lam=True))
-    x0 = X.T[::-1].ravel()
 
     sigma_grid = TimeGrid(grid.t0, grid.t0 + (t_m - grid.t0), dt)
     fine = FineAdjointPropagator(cache, m, e_u)
     coarse = CoarseAdjointPropagator(cache, m, e_u, cfg.coarse_stride)
-    stitched, report = parareal_solve(fine, coarse, x0, sigma_grid, cfg,
+    stitched, report = parareal_solve(fine, coarse, X, sigma_grid, cfg,
                                       workers=workers)
     # sigma-ordered rows back onto the forward grid: index k <-> sigma m-k;
-    # row m is x0 itself, so lam[m] == 0 exactly
+    # row m is the activated block itself, so lam[m] == 0 exactly
     states = stitched.states[::-1]
-    return AdjointSolution(t_m, m, grid, states[:, :n].copy(),
-                           states[:, n:].copy()), report
+    return AdjointSolution(t_m, m, grid, states[..., 1].copy(),
+                           states[..., 0].copy()), report

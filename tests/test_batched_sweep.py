@@ -324,7 +324,7 @@ def test_bad_instants_rejected_before_any_solve(rc, monkeypatch, instants,
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the instants were checked")
 
-    monkeypatch.setattr(adjoint, "backward_factor", no_solve)
+    monkeypatch.setattr(adjoint.AdjointCache, "factor", no_solve)
     monkeypatch.setattr(propagators, "parareal_adjoint_solve", no_solve)
     with pytest.raises(ValueError):
         sensitivity_series(sys, traj, Qoi("out", instants=instants),

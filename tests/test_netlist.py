@@ -32,7 +32,7 @@ class TestParseValue:
         assert parse_value(text) == pytest.approx(expected, rel=1e-12)
 
     def test_garbage_raises(self):
-        for bad in ("", "abc", "--1", "e3"):
+        for bad in ("", "abc", "--1", "e3", "1e400", "1e303meg"):
             with pytest.raises(ValueError):
                 parse_value(bad)
 
@@ -130,6 +130,25 @@ class TestParsing:
         with pytest.raises(NetlistError) as exc:
             parse_netlist(RC_TEXT.replace("R1 in out 1e3", "R1 in out"))
         assert exc.value.line == 3
+        with pytest.raises(NetlistError, match="line 3: .*not finite"):
+            parse_netlist(RC_TEXT.replace("R1 in out 1e3", "R1 in out 1e400"))
+
+    def test_pwm_source_waveform(self):
+        nl = parse_netlist(RC_TEXT.replace("V1 in 0 DC 1",
+                                           "V1 in 0 PWM 10u 0.5 1u 2u 5 0 0"))
+        wave = nl.element("V1").value
+        for t, v in [(0.0, 0.0), (0.5e-6, 2.5), (3e-6, 5.0), (6e-6, 2.5),
+                     (8e-6, 0.0), (10.5e-6, 2.5)]:
+            assert wave(t) == pytest.approx(v, abs=1e-12), t
+
+    def test_params_directive(self):
+        text = RC_TEXT.replace(".end", ".params R1\n.end")
+        nl = parse_netlist(text)
+        assert [p.name for p in nl.params] == ["R1"]
+        assert parse_netlist(serialize_netlist(nl)) == nl
+        for name in ("nosuch", "V1"):
+            with pytest.raises(NetlistError, match=".params"):
+                parse_netlist(text.replace(".params R1", f".params {name}"))
 
     def test_parameter_enumeration_is_sorted_and_stable(self):
         nl = parse_netlist(RC_TEXT)

@@ -5,7 +5,8 @@ import pytest
 
 from pintsens import mna
 from pintsens.adjoint import AdjointCache
-from pintsens.propagators import FineAdjointPropagator
+from pintsens.propagators import (CoarseAdjointPropagator,
+                                  CoarseForwardPropagator, FineAdjointPropagator)
 from pintsens import (TimeGrid, Qoi, PararealConfig, Propagator, parse_netlist,
                       assemble, integrate, solve_adjoint, dc_operating_point,
                       partition, jump_norm, parareal_solve, parareal_integrate,
@@ -175,6 +176,12 @@ class TestCircuitForward:
         ptraj, rep = parareal_integrate(sys, x0, grid, cfg)
         assert rep.iterations == 1
         np.testing.assert_allclose(ptraj.states, traj.states, atol=1e-12)
+        # the other extreme: a stride beyond twice the subinterval's 10
+        # steps warns and takes one coarse step
+        coarse = CoarseForwardPropagator(sys, grid.dt, 21)
+        with pytest.warns(UserWarning, match="single coarse step"):
+            _, (times, _, _) = coarse.evolve(x0, grid.t0, grid.times[10])
+        assert len(times) == 2
 
     def test_worker_count_does_not_change_bits(self, rc_run):
         sys, grid, x0, _ = rc_run
@@ -228,6 +235,14 @@ class TestCircuitAdjoint:
         assert rep.iterations == 1
         assert _gap(adj.lam, ref.lam) <= 1e-12
         assert _gap(adj.mu, ref.mu) <= 1e-12
+        # the other extreme, as in the forward case
+        sys, grid, _, traj = rc_run
+        coarse = CoarseAdjointPropagator(AdjointCache(sys, traj), self.T_M_INDEX,
+                                         Qoi("out").vector(sys.dofs), 21)
+        with pytest.warns(UserWarning, match="single coarse step"):
+            _, (times, states, _) = coarse.evolve(np.zeros((sys.n, 2)), grid.t0,
+                                                  grid.times[10])
+        assert len(times) == 2 and states.shape == (2, sys.n, 2)
 
     def test_worker_count_does_not_change_bits(self, rc_run):
         cfg = PararealConfig(n_subintervals=6, tol=1e-8, coarse_stride=50)
@@ -256,6 +271,11 @@ class TestCircuitAdjoint:
         adj, _ = parareal_adjoint_solve(sys, traj, grid.times[2000],
                                         Qoi("out"), cfg)
         assert np.all(adj.lam[adj.m_index] == 0.0)
+        # at t_m = t0 nothing is solved
+        adj, rep = parareal_adjoint_solve(sys, traj, grid.t0, Qoi("out"), cfg)
+        assert adj.lam.shape == adj.mu.shape == (1, sys.n)
+        assert not adj.lam.any() and not adj.mu.any()
+        assert rep.iterations == 0
 
 
 @pytest.mark.parametrize("circuit, options, qoi", [
@@ -267,8 +287,8 @@ def test_fine_adjoint_propagator_reproduces_solve_adjoint(monkeypatch, circuit,
                                                           options, qoi):
     """Parareal reaches the sequential answer only if its fine propagator
     takes exactly the sequential backward step: started from
-    ``solve_adjoint``'s [lam; mu] at the upper end of each subinterval, it
-    reproduces the rest of that subinterval bit for bit."""
+    ``solve_adjoint``'s block [mu, lam] at the upper end of each
+    subinterval, it reproduces the rest of that subinterval bit for bit."""
     if options.get("m"):                # 57 DoFs: force the sparse backend
         monkeypatch.setattr(mna, "DENSE_LIMIT", 10)
     nl = builtin_circuit(circuit, **options)
@@ -279,7 +299,7 @@ def test_fine_adjoint_propagator_reproduces_solve_adjoint(monkeypatch, circuit,
     m = grid.n_steps - 3
     qoi = Qoi(qoi)
     ref = solve_adjoint(sys, traj, grid.times[m], qoi)
-    stacked = np.hstack([ref.lam, ref.mu])[::-1]     # sigma order: row j <-> k = m - j
+    stacked = np.stack([ref.mu, ref.lam], -1)[::-1]  # sigma order: row j <-> k = m - j
     fine = FineAdjointPropagator(AdjointCache(sys, traj), m, qoi.vector(sys.dofs))
     sigma_grid = TimeGrid(grid.t0, grid.times[m], grid.dt)
     for s_start, s_end, j0, j1 in partition(sigma_grid, 4):

@@ -65,7 +65,9 @@ class TestTimeGrid:
 
     def test_fixture_benchmark_and_propagator_grids_construct(self, monkeypatch):
         """The builtin fixtures, every benchmark workload, and the fine,
-        coarse and sigma grids that the propagators cut from them."""
+        coarse and sigma grids that the propagators cut from them; equal
+        subintervals get equal coarse step counts, also at a .5 tie (the
+        default rectifier's 1250-step eighths at stride 100)."""
         path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
         workloads = importlib.util.module_from_spec(spec)
@@ -77,12 +79,13 @@ class TestTimeGrid:
             d = builtin_circuit(name, **options).directives
             grid = TimeGrid(0.0, d.t_end, d.dt)
             for n in (2, 3, 8):
-                for t_start, t_end, _, _ in partition(grid, n):
-                    TimeGrid(t_start, t_end, grid.dt)
-                    steps = int(round((t_end - t_start) / grid.dt))
-                    for stride in (25, 100):
-                        sub = _coarse_substeps(t_end - t_start, grid.dt, stride)
-                        TimeGrid(t_start, t_end, grid.dt * (steps / sub))
+                for stride in (25, 100):
+                    counts = {}
+                    for t_start, t_end, k0, k1 in partition(grid, n):
+                        TimeGrid(t_start, t_end, grid.dt)
+                        sub = _coarse_substeps(k1 - k0, stride)
+                        TimeGrid(t_start, t_end, grid.dt * ((k1 - k0) / sub))
+                        assert counts.setdefault(k1 - k0, sub) == sub
             for t_m in grid.times[1:]:
                 TimeGrid(grid.t0, grid.t0 + (t_m - grid.t0), grid.dt)
 
@@ -99,6 +102,16 @@ R2 mid 0 1e3
         x = dc_operating_point(sys, 0.0)
         assert x[sys.dofs.node_index["mid"]] == pytest.approx(5.0)
         assert x[sys.dofs.branch_index["V1"]] == pytest.approx(-5e-3)
+
+    def test_current_source_pushes_from_first_node_into_second(self):
+        sys = assemble(parse_netlist("""* current source
+I1 0 n1 DC 1m
+R1 n1 0 1k
+.tran 1e-6 1e-3
+.end
+"""))
+        x = dc_operating_point(sys, 0.0)
+        assert x[sys.dofs.node_index["n1"]] == pytest.approx(1.0)
 
     def test_diode_forward_drop(self):
         sys = assemble(parse_netlist("""* diode bias
