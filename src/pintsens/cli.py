@@ -177,15 +177,23 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
-    return value
+def _finite_number(what: str, accept=lambda value: True):
+    """An argparse type: a finite float for which ``accept`` holds."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_tolerance = _finite_number("a finite number >= 0", lambda value: value >= 0.0)
+_positive_time = _finite_number("a finite number > 0", lambda value: value > 0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("netlist", help="netlist path or builtin:<name>")
-        sp.add_argument("--dt", type=float, default=None)
-        sp.add_argument("--tend", type=float, default=None)
+        sp.add_argument("--dt", type=_positive_time, default=None)
+        sp.add_argument("--tend", type=_positive_time, default=None)
         sp.add_argument("--scheme", choices=("implicit_euler", "trapezoidal"),
                         default="implicit_euler")
         sp.add_argument("--out", type=Path, default=Path("."))
@@ -224,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="tabular parareal timing benchmark")
     common(sp)
     sp.add_argument("--qoi", default=None)
-    sp.add_argument("--tm", type=float, required=True)
+    sp.add_argument("--tm", type=_finite_number("a finite number"), required=True)
     sp.add_argument("--N", required=True, help="comma list, e.g. 2,4,8")
     parareal_options(sp)
     sp.add_argument("--repetitions", type=_positive_int, default=1)

@@ -16,12 +16,13 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .transient import TimeGrid, Trajectory
+from .transient import SolverError, TimeGrid
 
 
 class Propagator:
@@ -30,7 +31,9 @@ class Propagator:
 
     def evolve(self, state: np.ndarray, t_start: float, t_end: float):
         """Return (end_state, piece); piece is (times, states, derivs) arrays
-        covering the subinterval, or None if not recorded."""
+        covering the subinterval, or None if not recorded.  The orchestrator
+        reads only a fine piece's states, one row per grid point of the
+        subinterval, both ends included."""
         raise NotImplementedError
 
 
@@ -87,55 +90,36 @@ def partition(grid: TimeGrid, n: int):
 
 
 def jump_norm(old_states, new_states) -> float:
-    """Max over interfaces of ||new - old||_inf / (1 + ||new||_inf)."""
+    """Max over interfaces of ||new - old||_inf / (1 + ||new||_inf); NaN if
+    any interface's jump is NaN."""
     if len(old_states) != len(new_states):
         raise ValueError("interface lists differ in length")
-    worst = 0.0
+    jumps = []
     for old, new in zip(old_states, new_states):
         old = np.atleast_1d(np.asarray(old, dtype=float))
         new = np.atleast_1d(np.asarray(new, dtype=float))
-        j = np.max(np.abs(new - old)) / (1.0 + np.max(np.abs(new)))
-        worst = max(worst, j)
-    return worst
+        jumps.append(np.max(np.abs(new - old)) / (1.0 + np.max(np.abs(new))))
+    return float(np.max(jumps, initial=0.0))
 
 
-def _run_fine(fine, states, subs, workers):
-    """Fine propagation of all subintervals from given start states.
-    Returns (end_states, pieces, per-task times)."""
-
-    def task(i):
-        t_start, t_end, _, _ = subs[i]
-        tic = time.perf_counter()
-        end, piece = fine.evolve(states[i], t_start, t_end)
-        return end, piece, time.perf_counter() - tic
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, range(len(subs))))
-    else:
-        results = [task(i) for i in range(len(subs))]
-    ends = [r[0] for r in results]
-    pieces = [r[1] for r in results]
-    times = [r[2] for r in results]
-    return ends, pieces, times
-
-
-def _stitch(pieces, grid: TimeGrid, subs, shape) -> Trajectory:
-    states = np.empty((grid.n_steps + 1, *shape))
-    derivs = np.zeros((grid.n_steps + 1, *shape))
-    for piece, (_, _, k0, k1) in zip(pieces, subs):
-        times, p_states, p_derivs = piece
-        start = 0 if k0 == 0 else 1     # interface point owned by left piece
-        states[k0 + start: k1 + 1] = p_states[start:]
-        if p_derivs is not None:
-            derivs[k0 + start: k1 + 1] = p_derivs[start:]
-    return Trajectory(grid, states, derivs)
+def _stitch(pieces, subs, shape) -> np.ndarray:
+    """The pieces' states on one grid; each interface point is owned by the
+    piece on its left."""
+    states = np.empty((subs[-1][3] + 1, *shape))
+    states[0] = pieces[0][1][0]
+    for (_, p_states, _), (_, _, k0, k1) in zip(pieces, subs):
+        states[k0 + 1: k1 + 1] = p_states[1:]
+    return states
 
 
 def parareal_solve(fine: Propagator, coarse: Propagator, x0, grid: TimeGrid,
                    cfg: PararealConfig, workers: int = 1):
-    """Run the parareal iteration; returns the stitched fine Trajectory of
-    the final iteration and a PararealReport."""
+    """Run the parareal iteration; returns the stitched fine states of the
+    final iteration, shape (n_steps + 1, *x0.shape), and a PararealReport.
+    Fine propagations run on one pool of ``workers`` threads for the whole
+    solve, or on the calling thread when ``workers`` is 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cfg.n_subintervals
     max_iter = cfg.max_iter if cfg.max_iter is not None else n
@@ -153,35 +137,38 @@ def parareal_solve(fine: Propagator, coarse: Propagator, x0, grid: TimeGrid,
         X.append(g)
     report.coarse_time_s += time.perf_counter() - tic
 
-    pieces = None
-    converged = False
-    fine_sums = np.zeros(n)
-    for _ in range(max_iter):
-        starts = X[:-1]
-        fine_ends, pieces, task_times = _run_fine(fine, starts, subs, workers)
-        fine_sums += task_times
-
+    def fine_task(state, sub):
         tic = time.perf_counter()
-        X_new = [x0]
-        for i, (t_start, t_end, _, _) in enumerate(subs):
-            g_new, _ = coarse.evolve(X_new[-1], t_start, t_end)
-            X_new.append(fine_ends[i] + g_new - g_prev[i])
-            g_prev[i] = g_new
-        report.coarse_time_s += time.perf_counter() - tic
+        end, piece = fine.evolve(state, sub[0], sub[1])
+        return end, piece, time.perf_counter() - tic
 
-        report.iterations += 1
-        jump = jump_norm(X[1:], X_new[1:])
-        report.jump_history.append(jump)
-        X = X_new
-        if jump <= cfg.tol:
-            converged = True
-            break
+    fine_sums = np.zeros(n)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        fine_map = map if pool is None else pool.map
+        for _ in range(max_iter):
+            fine_ends, pieces, task_times = zip(*fine_map(fine_task, X[:-1], subs))
+            fine_sums += task_times
 
-    report.converged = converged or max_iter >= n  # exact after n sweeps
+            tic = time.perf_counter()
+            X_new = [x0]
+            for i, (t_start, t_end, _, _) in enumerate(subs):
+                g_new, _ = coarse.evolve(X_new[-1], t_start, t_end)
+                X_new.append(fine_ends[i] + g_new - g_prev[i])
+                g_prev[i] = g_new
+            report.coarse_time_s += time.perf_counter() - tic
+
+            report.iterations += 1
+            jump = jump_norm(X[1:], X_new[1:])
+            report.jump_history.append(jump)
+            if not math.isfinite(jump):
+                raise SolverError(f"parareal iteration {report.iterations}: "
+                                  f"interface jump is {jump}")
+            X = X_new
+            if jump <= cfg.tol:
+                break
+
+    report.converged = jump <= cfg.tol or max_iter >= n  # exact after n sweeps
     report.interface_states = [x.copy() for x in X]
-    report.fine_times_s = list(fine_sums / report.iterations) \
-        if report.iterations else []
+    report.fine_times_s = list(fine_sums / report.iterations)
     report.total_wall_s = time.perf_counter() - wall_start
-    traj = _stitch(pieces, grid, subs, x0.shape) if pieces is not None else None
-    return traj, report
-
+    return _stitch(pieces, subs, x0.shape), report

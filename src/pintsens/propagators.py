@@ -18,7 +18,7 @@ import numpy as np
 from .adjoint import AdjointCache, AdjointSolution, Qoi, backward_steps
 from .mna import StampedSystem
 from .parareal import PararealReport, parareal_solve
-from .transient import TimeGrid, Trajectory, integrate
+from .transient import TimeGrid, Trajectory, derivatives, integrate
 
 
 def _coarse_substeps(steps: int, stride: int) -> int:
@@ -105,10 +105,13 @@ class FineAdjointPropagator(CoarseAdjointPropagator):
 
 def parareal_integrate(sys: StampedSystem, x0, grid: TimeGrid, cfg,
                        scheme: str = "implicit_euler", workers: int = 1):
-    """Forward transient solve through the parareal orchestrator."""
+    """Forward transient solve through the parareal orchestrator: the
+    stitched states, their ``derivatives`` as ``integrate`` takes them and
+    no Newton count (``newton_iters`` 0) in a Trajectory, and the report."""
     fine = FineForwardPropagator(sys, grid.dt, scheme)
     coarse = CoarseForwardPropagator(sys, grid.dt, cfg.coarse_stride, scheme)
-    return parareal_solve(fine, coarse, x0, grid, cfg, workers=workers)
+    states, report = parareal_solve(fine, coarse, x0, grid, cfg, workers=workers)
+    return Trajectory(grid, states, derivatives(states, grid.dt, scheme)), report
 
 
 def parareal_adjoint_solve(sys: StampedSystem, traj: Trajectory, t_m: float,
@@ -124,6 +127,8 @@ def parareal_adjoint_solve(sys: StampedSystem, traj: Trajectory, t_m: float,
     m = grid.index_of(t_m)
     n = sys.n
     dt = grid.dt
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     if m == 0:
         return (AdjointSolution(t_m, 0, grid, *np.zeros((2, 1, n))),
                 PararealReport(n_subintervals=cfg.n_subintervals))
@@ -137,10 +142,10 @@ def parareal_adjoint_solve(sys: StampedSystem, traj: Trajectory, t_m: float,
     sigma_grid = TimeGrid(grid.t0, grid.t0 + (t_m - grid.t0), dt)
     fine = FineAdjointPropagator(cache, m, e_u)
     coarse = CoarseAdjointPropagator(cache, m, e_u, cfg.coarse_stride)
-    stitched, report = parareal_solve(fine, coarse, X, sigma_grid, cfg,
-                                      workers=workers)
+    states, report = parareal_solve(fine, coarse, X, sigma_grid, cfg,
+                                    workers=workers)
     # sigma-ordered rows back onto the forward grid: index k <-> sigma m-k;
     # row m is the activated block itself, so lam[m] == 0 exactly
-    states = stitched.states[::-1]
+    states = states[::-1]
     return AdjointSolution(t_m, m, grid, states[..., 1].copy(),
                            states[..., 0].copy()), report

@@ -55,12 +55,16 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
+        for name, value in (("t0", self.t0), ("t1", self.t1), ("dt", self.dt)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.t1 <= self.t0:
             raise ValueError("t1 must exceed t0")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         steps = (self.t1 - self.t0) / self.dt
-        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+        if not math.isfinite(steps) or round(steps) < 1 \
+                or abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"dt={self.dt!r} does not divide [{self.t0!r}, "
                              f"{self.t1!r}] into whole steps ({steps:.12g})")
 
@@ -74,7 +78,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of a time that must lie on the grid."""
-        k = int(round((t - self.t0) / self.dt))
+        steps = (t - self.t0) / self.dt
+        k = int(round(steps)) if math.isfinite(steps) else -1   # on no grid
         if not (0 <= k <= self.n_steps) or abs(self.t0 + k * self.dt - t) > 1e-9 * max(self.dt, 1e-30):
             raise ValueError(f"t={t} is not a grid point")
         return k
@@ -240,6 +245,23 @@ def _residual(sys, phi, b, coef_dt, coef_g, t):
     return coef_dt * (sys.Jc @ phi) + coef_g * (sys.Jg @ phi + i_nl) - b
 
 
+def derivatives(states, dt: float, scheme: str, deriv0=None) -> np.ndarray:
+    """A trajectory's stored derivative, from deriv0 (zero when None): the
+    scheme's difference formula on its states, (phi_k - phi_{k-1})/dt for
+    implicit Euler and 2(phi_k - phi_{k-1})/dt - phidot_{k-1} trapezoidal."""
+    derivs = np.empty_like(states)
+    derivs[0] = 0.0 if deriv0 is None else deriv0
+    np.subtract(states[1:], states[:-1], out=derivs[1:])
+    if scheme == "trapezoidal":
+        derivs[1:] *= 2.0
+        derivs[1:] /= dt
+        for k in range(1, len(derivs)):
+            derivs[k] -= derivs[k - 1]
+    else:
+        derivs[1:] /= dt
+    return derivs
+
+
 def integrate(sys, x0, grid: TimeGrid, scheme: str = "implicit_euler",
               tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
               deriv0=None) -> Trajectory:
@@ -247,7 +269,7 @@ def integrate(sys, x0, grid: TimeGrid, scheme: str = "implicit_euler",
 
     Implicit Euler:  Jc (x_{k+1}-x_k)/dt + Jg x_{k+1} + i_nl - i_s(t_{k+1}) = 0.
     Trapezoidal averages the algebraic part over both endpoints.  deriv0 seeds
-    the stored derivative at the first grid point (zero for a DC start).
+    the stored derivative (``derivatives``) at t0, zero for a DC start.
     The switch conductances of every grid time come from one table, and
     Newton keeps the last step factorization, so steps with unchanged
     device conductances solve without refactorizing.
@@ -257,9 +279,8 @@ def integrate(sys, x0, grid: TimeGrid, scheme: str = "implicit_euler",
     n_steps = grid.n_steps
     dt = grid.dt
     states = np.empty((n_steps + 1, sys.n))
-    derivs = np.empty((n_steps + 1, sys.n))
     states[0] = _start_vector(sys, x0, "x0")
-    derivs[0] = 0.0 if deriv0 is None else _start_vector(sys, deriv0, "deriv0")
+    deriv0 = None if deriv0 is None else _start_vector(sys, deriv0, "deriv0")
     total_iters = 0
     times = grid.times
     g_switch = sys._devices._switch(times[:, None])
@@ -272,15 +293,10 @@ def integrate(sys, x0, grid: TimeGrid, scheme: str = "implicit_euler",
         if scheme == "trapezoidal":     # the algebraic part at t_k
             i_nl_k, _ = sys.eval_nonlinear(phi_k, times[k])
             b -= 0.5 * (sys.Jg @ phi_k + i_nl_k - sys.source_eval(times[k]))
-        phi, iters = _newton_step(sys, factors, phi_k, b, 1.0 / dt, coef_g,
-                                  g_switch[k + 1], times[k + 1], k + 1, tol,
-                                  max_iter)
-        if scheme == "trapezoidal":
-            derivs[k + 1] = 2.0 * (phi - phi_k) / dt - derivs[k]
-        states[k + 1] = phi
+        states[k + 1], iters = _newton_step(sys, factors, phi_k, b, 1.0 / dt,
+                                            coef_g, g_switch[k + 1],
+                                            times[k + 1], k + 1, tol, max_iter)
         total_iters += iters
-    if scheme == "implicit_euler":      # (phi_{k+1} - phi_k) / dt, as stored
-        np.subtract(states[1:], states[:-1], out=derivs[1:])
-        derivs[1:] /= dt
 
-    return Trajectory(grid, states, derivs, newton_iters=total_iters)
+    return Trajectory(grid, states, derivatives(states, dt, scheme, deriv0),
+                      newton_iters=total_iters)

@@ -316,7 +316,8 @@ R3 x y 2e3
 
 
 @pytest.mark.parametrize("parallel", [None, PararealConfig(n_subintervals=2)])
-@pytest.mark.parametrize("instants", [(), (1.0, 0.505), (0.5, float("nan"))])
+@pytest.mark.parametrize("instants", [(), (1.0, 0.505), (0.5, float("nan")),
+                                      (0.5, float("inf"))])
 def test_bad_instants_rejected_before_any_solve(rc, monkeypatch, instants,
                                                 parallel):
     sys, _, traj = rc

@@ -200,6 +200,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "argument --tol: must be a finite number >= 0" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--dt"), ("simulate", "--tend"), ("sens", "--dt"),
+        ("spectrum", "--tend"), ("bench", "--dt"), ("bench", "--tend"),
+        ("bench", "--tm"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_time_rejected_at_parse_time(self, monkeypatch, capsys,
+                                                    command, flag, value):
+        monkeypatch.setitem(cli._COMMANDS, command, None)   # never dispatched
+        extra = ["--tm", "0.01", "--N", "2"] if command == "bench" else []
+        argv = [command, "builtin:half_wave_rectifier", *extra, flag, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a finite number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--dt", "--tend"])
+    @pytest.mark.parametrize("value", ["0", "-0.001"])
+    def test_non_positive_time_rejected_at_parse_time(self, monkeypatch, capsys,
+                                                      flag, value):
+        monkeypatch.setitem(cli._COMMANDS, "simulate", None)
+        assert main(["simulate", "builtin:half_wave_rectifier", flag, value]) == 1
+        assert f"argument {flag}: must be a finite number > 0" \
+            in capsys.readouterr().err
+
     def test_zero_tolerance_accepted(self):
         args = cli.build_parser().parse_args(
             ["sens", "builtin:half_wave_rectifier", "--tol", "0"])

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from pintsens import mna
+from pintsens.transient import SolverError
 from pintsens.adjoint import AdjointCache
 from pintsens.propagators import (CoarseAdjointPropagator,
                                   CoarseForwardPropagator, FineAdjointPropagator)
 from pintsens import (TimeGrid, Qoi, PararealConfig, Propagator, parse_netlist,
                       assemble, integrate, solve_adjoint, dc_operating_point,
                       partition, jump_norm, parareal_solve, parareal_integrate,
-                      parareal_adjoint_solve, builtin_circuit)
+                      parareal_adjoint_solve, sensitivity_series,
+                      builtin_circuit)
 
 
 class TestPartition:
@@ -48,6 +50,11 @@ class TestJumpNorm:
         old = [np.array([1.0]), np.array([0.0])]
         new = [np.array([1.0]), np.array([3.0])]
         assert jump_norm(old, new) == pytest.approx(3.0 / 4.0)
+
+    def test_nan_propagates(self):
+        assert np.isnan(jump_norm([0.0], [np.nan]))
+        assert np.isnan(jump_norm([np.zeros(2), np.zeros(2)],
+                                  [np.array([np.nan, 1.0]), np.ones(2)]))
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -120,11 +127,54 @@ class TestHandWorkedExample:
             np.exp(-1.0), abs=1e-12)
         assert rep.converged        # finite termination after N sweeps
 
+    def test_returns_stitched_states(self):
+        states, _ = self.run(2)
+        assert isinstance(states, np.ndarray) and states.shape == (3, 1)
+        # the final fine sweep starts from the exact interface state
+        np.testing.assert_allclose(states[:, 0], np.exp(-np.array([0.0, 0.5, 1.0])),
+                                   rtol=0, atol=1e-12)
+
     def test_jump_history_recorded(self):
         _, rep = self.run(2)
         assert rep.iterations == 2
         assert len(rep.jump_history) == 2
         assert rep.jump_history[1] < rep.jump_history[0]
+
+
+class NanAfterHalfFine(ScalarDecayFine):
+    """Exact on [0, 1/2], NaN beyond."""
+
+    def evolve(self, state, t_start, t_end):
+        end, piece = super().evolve(state, t_start, t_end)
+        return (end, piece) if t_start < 0.5 else (end * np.nan, piece)
+
+
+class TestBadRuns:
+    def test_nan_interface_raises(self):
+        grid = TimeGrid(0.0, 1.0, 0.25)
+        cfg = PararealConfig(n_subintervals=4, tol=1e-8)
+        with pytest.raises(SolverError, match="parareal iteration 1: "
+                                              "interface jump is nan"):
+            parareal_solve(NanAfterHalfFine(), ScalarDecayCoarse(),
+                           np.array([1.0]), grid, cfg)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, rc_run, workers):
+        sys, grid, x0, traj = rc_run
+        cfg = PararealConfig(n_subintervals=2)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            parareal_solve(ScalarDecayFine(), ScalarDecayCoarse(),
+                           np.array([1.0]), TimeGrid(0.0, 1.0, 0.5), cfg,
+                           workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            parareal_integrate(sys, x0, grid, cfg, workers=workers)
+        for t_m in (grid.t0, grid.times[100]):      # t0 solves nothing
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                parareal_adjoint_solve(sys, traj, t_m, Qoi("out"), cfg,
+                                       workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sensitivity_series(sys, traj, Qoi("out", instants=(grid.t1,)),
+                               parallel=cfg, workers=workers)
 
 
 class TestIdenticalPropagators:
@@ -163,12 +213,24 @@ class TestCircuitForward:
         assert rep.iterations <= 8
         assert np.max(np.abs(ptraj.states - traj.states)) <= 10 * cfg.tol
 
-    def test_full_sweeps_reach_machine_exactness(self, rc_run):
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "trapezoidal"])
+    def test_full_sweeps_reach_machine_exactness(self, rc_run, scheme):
         sys, grid, x0, traj = rc_run
+        traj = integrate(sys, x0, grid, scheme=scheme)
         cfg = PararealConfig(n_subintervals=4, tol=0.0, max_iter=4,
                              coarse_stride=100)
-        ptraj, _ = parareal_integrate(sys, x0, grid, cfg)
+        ptraj, _ = parareal_integrate(sys, x0, grid, cfg, scheme=scheme)
         assert np.max(np.abs(ptraj.states - traj.states)) <= 1e-12
+        scale = np.max(np.abs(traj.derivs))
+        assert np.max(np.abs(ptraj.derivs - traj.derivs)) <= 1e-10 * scale
+
+    def test_derivatives_difference_the_stitched_states(self, rc_run):
+        sys, grid, x0, _ = rc_run
+        cfg = PararealConfig(n_subintervals=8, tol=1e-9, coarse_stride=100)
+        ptraj, _ = parareal_integrate(sys, x0, grid, cfg)
+        assert not ptraj.derivs[0].any() and ptraj.newton_iters == 0
+        assert np.array_equal(ptraj.derivs[1:],
+                              np.diff(ptraj.states, axis=0) / grid.dt)
 
     def test_stride_one_coarse_equals_fine(self, rc_run):
         sys, grid, x0, traj = rc_run

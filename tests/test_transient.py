@@ -1,6 +1,7 @@
 """Transient integration: grids, schemes, accuracy orders, invariants."""
 
 import importlib.util
+import re
 import sys as _sys
 from pathlib import Path
 
@@ -56,6 +57,20 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, -1e-3)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0.0, 1e-3)
+
+    def test_non_finite_values_rejected(self):
+        inf, nan = float("inf"), float("nan")
+        for args, name in [((0.0, inf, 1.0), "t1"), ((nan, 1.0, 0.1), "t0"),
+                           ((0.0, 1.0, nan), "dt"), ((-inf, 1.0, 0.1), "t0"),
+                           ((0.0, 1.0, inf), "dt")]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TimeGrid(*args)
+        with pytest.raises(ValueError, match="whole steps"):
+            TimeGrid(0.0, 1e300, 1e-300)      # a step count beyond float range
+        g = TimeGrid(0.0, 1.0, 0.1)
+        for t in (inf, -inf, nan, 1e308):
+            with pytest.raises(ValueError, match=re.escape(f"t={t} is not")):
+                g.index_of(t)
 
     def test_span_must_be_whole_steps(self):
         with pytest.raises(ValueError, match="whole steps"):
