@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -65,16 +66,15 @@ def format_value(x: float) -> str:
 # --------------------------------------------------------------------------
 # waveforms and device models
 # --------------------------------------------------------------------------
+# Each model is its netlist form: the fields, in order, are its values, one
+# with a default is optional, and __post_init__ holds the range checks.
 
 @dataclass(frozen=True)
 class DcWave:
-    level: float
+    level: float = 0.0
 
     def __call__(self, t):
         return self.level
-
-    def tokens(self):
-        return ["DC", format_value(self.level)]
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,12 @@ class SineWave:
     frequency: float
     phase: float = 0.0
 
+    def __post_init__(self):
+        if not self.frequency > 0:
+            raise ValueError("nonpositive frequency")
+
     def __call__(self, t):
         return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
-
-    def tokens(self):
-        return ["SINE", format_value(self.amplitude), format_value(self.frequency),
-                format_value(self.phase)]
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,14 @@ class PwmWave:
     high: float = 1.0
     low: float = 0.0
     offset: float = 0.0
+
+    def __post_init__(self):
+        if not self.period > 0:
+            raise ValueError("nonpositive PWM period")
+        if not 0.0 <= self.duty <= 1.0:
+            raise ValueError("duty outside [0, 1]")
+        if not (self.rise >= 0 and self.fall >= 0):
+            raise ValueError("negative rise/fall")
 
     def __call__(self, t):
         tau = (t - self.offset) % self.period
@@ -115,11 +123,6 @@ class PwmWave:
             return self.high + (self.low - self.high) * frac
         return self.low
 
-    def tokens(self):
-        return ["PWM"] + [format_value(v) for v in
-                          (self.period, self.duty, self.rise, self.fall,
-                           self.high, self.low, self.offset)]
-
 
 @dataclass(frozen=True)
 class DiodeModel:
@@ -127,8 +130,9 @@ class DiodeModel:
     n: float = 1.0           # emission coefficient
     v_t: float = 0.02585     # thermal voltage, V
 
-    def tokens(self):
-        return [format_value(self.i_s), format_value(self.n), format_value(self.v_t)]
+    def __post_init__(self):
+        if not (self.i_s > 0 and self.n > 0 and self.v_t > 0):
+            raise ValueError("nonpositive diode model value")
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,16 @@ class SwitchModel:
     duty: float
     ramp: float = 10e-9
     offset: float = 0.0
+
+    def __post_init__(self):
+        if not (self.r_on > 0 and self.r_off > 0):
+            raise ValueError("nonpositive switch resistance")
+        if self.r_off <= self.r_on:
+            raise ValueError("R_off must exceed R_on")
+        if not self.period > 0:
+            raise ValueError("nonpositive switch period")
+        if not 0.0 <= self.duty <= 1.0:
+            raise ValueError("duty outside [0, 1]")
 
     def conductance(self, t: float) -> float:
         g_on = 1.0 / self.r_on
@@ -155,10 +169,6 @@ class SwitchModel:
         if tau < t_on:
             return g_on
         return g_off
-
-    def tokens(self):
-        return [format_value(v) for v in
-                (self.r_on, self.r_off, self.period, self.duty, self.ramp, self.offset)]
 
 
 Waveform = DcWave | SineWave | PwmWave
@@ -220,34 +230,38 @@ class Netlist:
 
     def with_element_value(self, name: str, value: float) -> "Netlist":
         """Copy with one R/L/C element's value replaced (nominals re-derived)."""
-        elements = []
-        found = False
-        for e in self.elements:
-            if e.name.lower() == name.lower():
-                if e.kind not in DIFFERENTIABLE_KINDS:
-                    raise ValueError(f"{name} is not an R/L/C element")
-                e = replace(e, value=float(value))
-                found = True
-            elements.append(e)
-        if not found:
-            raise KeyError(name)
-        params = _enumerate_params(elements, self.param_filter)
-        return replace(self, elements=tuple(elements), params=params)
+        old = self.element(name)
+        if old.kind not in DIFFERENTIABLE_KINDS:
+            raise ValueError(f"{name} is not an R/L/C element")
+        new = replace(old, value=float(value))
+        elements = tuple(new if e is old else e for e in self.elements)
+        return replace(self, elements=elements,
+                       params=_enumerate_params(elements, self.param_filter))
 
 
 # --------------------------------------------------------------------------
 # parsing
 # --------------------------------------------------------------------------
 
+_MODELS = {"DC": DcWave, "SINE": SineWave, "PWM": PwmWave,
+           "D": DiodeModel, "S": SwitchModel}
+_FORM_OF = {model: form for form, model in _MODELS.items()}
+
+
+def _form(model):
+    """(usage, fewest, most) of a model's values, optional ones in brackets."""
+    names = [f.name for f in fields(model)]
+    fewest = sum(f.default is MISSING for f in fields(model))
+    optional = names[fewest:]
+    if optional:
+        names[fewest:] = ["[" + " [".join(optional) + "]" * len(optional)]
+    return " ".join(names), fewest, fewest + len(optional)
+
+
 # the values GRAMMAR.md allows after an element's nodes, or after the
-# waveform name of a source, optional ones in brackets
-_FORMS = {"R": "value", "L": "value", "C": "value", "D": "[i_s [n [v_t]]]",
-          "S": "r_on r_off period duty [ramp [offset]]", "DC": "[level]",
-          "SINE": "amplitude frequency [phase]",
-          "PWM": "period duty [rise [fall [high [low [offset]]]]]"}
-_WAVEFORMS = ("DC", "SINE", "PWM")
-_COUNTS = {form: (usage.count(" ") + 1 - usage.count("["), usage.count(" ") + 1)
-           for form, usage in _FORMS.items()}           # fewest, most
+# waveform name of a source
+_FORMS = {**dict.fromkeys(DIFFERENTIABLE_KINDS, ("value", 1, 1)),
+          **{form: _form(model) for form, model in _MODELS.items()}}
 
 
 def _parse_element(tokens, line):
@@ -265,58 +279,24 @@ def _parse_element(tokens, line):
         if not rest:
             raise NetlistError(f"source {name!r} needs a waveform", line)
         form = rest[0].upper()
-        if form not in _WAVEFORMS:
+        if form in ELEMENT_KINDS or form not in _MODELS:
             raise NetlistError(f"unknown waveform {rest[0]!r} for {name!r}", line)
         rest = rest[1:]
-    fewest, most = _COUNTS[form]
+    usage, fewest, most = _FORMS[form]
     if not fewest <= len(rest) <= most:
         head = " ".join(tokens[: len(tokens) - len(rest)])
-        raise NetlistError(f"{head!r} must be followed by {_FORMS[form]}, got "
+        raise NetlistError(f"{head!r} must be followed by {usage}, got "
                            f"{len(rest)} values", line)
     args = [parse_value(tok, line) for tok in rest]
-
     if kind in DIFFERENTIABLE_KINDS:
-        val = args[0]
-        if val <= 0.0:
-            raise NetlistError(f"nonpositive value {val} for {name!r}", line)
-        return Element(name, kind, (a, b), val)
-
-    if kind in ("V", "I"):
-        if form == "DC":
-            value = DcWave(*args or [0.0])
-        elif form == "SINE":
-            if args[1] <= 0:
-                raise NetlistError(f"nonpositive frequency for {name!r}", line)
-            value = SineWave(*args)
-        else:                                   # PWM
-            if args[0] <= 0:
-                raise NetlistError(f"nonpositive PWM period for {name!r}", line)
-            if not (0.0 <= args[1] <= 1.0):
-                raise NetlistError(f"duty outside [0, 1] for {name!r}", line)
-            if any(v < 0 for v in args[2:4]):
-                raise NetlistError(f"negative rise/fall for {name!r}", line)
-            value = PwmWave(*args)
-        return Element(name, kind, (a, b), value)
-
-    if kind == "D":
-        model = DiodeModel(*args)
-        if model.i_s <= 0 or model.n <= 0 or model.v_t <= 0:
-            raise NetlistError(f"nonpositive diode model value for {name!r}", line)
-        return Element(name, kind, (a, b), model)
-
-    if kind == "S":
-        model = SwitchModel(*args)
-        if model.r_on <= 0 or model.r_off <= 0:
-            raise NetlistError(f"nonpositive switch resistance for {name!r}", line)
-        if model.r_off <= model.r_on:
-            raise NetlistError(f"R_off must exceed R_on for {name!r}", line)
-        if model.period <= 0:
-            raise NetlistError(f"nonpositive switch period for {name!r}", line)
-        if not (0.0 <= model.duty <= 1.0):
-            raise NetlistError(f"duty outside [0, 1] for {name!r}", line)
-        return Element(name, kind, (a, b), model)
-
-    raise NetlistError(f"unhandled element kind {kind!r}", line)  # pragma: no cover
+        if args[0] <= 0.0:
+            raise NetlistError(f"nonpositive value {args[0]} for {name!r}", line)
+        return Element(name, kind, (a, b), args[0])
+    try:
+        value = _MODELS[form](*args)
+    except ValueError as exc:
+        raise NetlistError(f"{exc} for {name!r}", line) from None
+    return Element(name, kind, (a, b), value)
 
 
 def _enumerate_params(elements, param_filter) -> tuple[Parameter, ...]:
@@ -387,35 +367,27 @@ def parse_netlist(text: str) -> Netlist:
     if not elements:
         raise NetlistError("netlist contains no elements")
 
-    nodes: list[str] = []
-    for e in elements:
-        for n in e.nodes:
-            if n not in nodes:
-                nodes.append(n)
-
-    _validate(elements, nodes, param_filter)
-    params = _enumerate_params(elements, param_filter)
-    return Netlist(title, tuple(nodes), tuple(elements), params,
-                   directives, param_filter)
+    # node -> how many elements touch it, in order of first appearance
+    touches = Counter(n for e in elements for n in e.nodes)
+    nl = Netlist(title, tuple(touches), tuple(elements),
+                 _enumerate_params(elements, param_filter), directives,
+                 param_filter)
+    _validate(nl, touches)
+    return nl
 
 
-def _validate(elements, nodes, param_filter):
-    if GROUND not in nodes:
+def _validate(nl, touches):
+    if GROUND not in touches:
         raise NetlistError("no ground node '0' present")
-    touches: dict[str, int] = {n: 0 for n in nodes}
-    for e in elements:
-        for n in e.nodes:
-            touches[n] += 1
     for n, count in touches.items():
         if n != GROUND and count == 1:
             raise NetlistError(f"dangling node {n!r} (touched by a single element)")
-    if param_filter is not None:
-        by_name = {e.name.lower(): e for e in elements}
-        for name in param_filter:
-            e = by_name.get(name.lower())
-            if e is None:
-                raise NetlistError(f".params references unknown element {name!r}")
-            if e.kind not in DIFFERENTIABLE_KINDS:
+    for name in nl.param_filter or ():
+        try:
+            e = nl.element(name)
+        except KeyError:
+            raise NetlistError(f".params references unknown element {name!r}") from None
+        if e.kind not in DIFFERENTIABLE_KINDS:
                 raise NetlistError(
                     f".params element {name!r} is not an R/L/C element")
 
@@ -424,11 +396,14 @@ def serialize_netlist(nl: Netlist) -> str:
     """Render a Netlist back to text; reparsing yields an equal structure."""
     lines = [f"* {nl.title}" if nl.title else "*"]
     for e in nl.elements:
+        words = [e.name, *e.nodes]
         if e.kind in DIFFERENTIABLE_KINDS:
-            tail = [format_value(e.value)]
+            values = (e.value,)
         else:
-            tail = e.value.tokens()
-        lines.append(" ".join([e.name, *e.nodes, *tail]))
+            values = astuple(e.value)
+            if e.kind in ("V", "I"):
+                words.append(_FORM_OF[type(e.value)])
+        lines.append(" ".join(words + [format_value(v) for v in values]))
     d = nl.directives
     if d.dt is not None:
         lines.append(f".tran {format_value(d.dt)} {format_value(d.t_end)}")
