@@ -355,10 +355,11 @@ def finite_difference_series(netlist, param, delta: float, qoi: Qoi,
     full forward solves (the independent validation oracle).
 
     ``initial_state`` maps an assembled system to its start state; default is
-    the DC operating point at t=0.
+    the DC operating point at t=0.  ``delta`` is the relative step and must
+    lie in (0, 1), so that both perturbed values stay positive.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     d = netlist.directives
     grid = TimeGrid(0.0, d.t_end, d.dt)
     p0 = param.nominal

@@ -160,7 +160,7 @@ def _qoi_weights(netlist, args) -> dict:
 def _qoi_from(netlist, args, grid) -> Qoi:
     weights = _qoi_weights(netlist, args)
     if args.window:
-        a, b = (float(x) for x in args.window.split(":"))
+        a, b = args.window
     elif netlist.directives.sens_start is not None:
         a, b = netlist.directives.sens_start, netlist.directives.sens_end
     else:
@@ -175,6 +175,23 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _positive_ints(text: str) -> list:
+    """A comma list of positive integers, e.g. ``2,4,8``."""
+    return [_positive_int(item) for item in text.split(",")]
+
+
+def _window(text: str) -> tuple:
+    """``t_start:t_end``, two finite numbers with t_start <= t_end."""
+    try:
+        a, b = (float(x) for x in text.split(":"))
+    except ValueError:
+        a = b = math.nan
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise argparse.ArgumentTypeError(
+            f"must be t_start:t_end with finite t_start <= t_end, got {text!r}")
+    return a, b
 
 
 def _finite_number(what: str, accept=lambda value: True):
@@ -220,10 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         common(sp)
         sp.add_argument("--qoi", default=None, help="e.g. v(out) or v(a)-v(b)")
-        sp.add_argument("--window", default=None, help="t_start:t_end")
+        sp.add_argument("--window", type=_window, default=None,
+                        help="t_start:t_end")
         sp.add_argument("--every", type=_positive_int, default=1,
                         help="analyze every k-th grid point in the window")
-        sp.add_argument("--N", default=None, help="parareal subintervals")
+        sp.add_argument("--N", type=_positive_int, default=None,
+                        help="parareal subintervals")
         parareal_options(sp)
         if name == "spectrum":
             sp.add_argument("--segment", type=_positive_int, default=256)
@@ -233,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--qoi", default=None)
     sp.add_argument("--tm", type=_finite_number("a finite number"), required=True)
-    sp.add_argument("--N", required=True, help="comma list, e.g. 2,4,8")
+    sp.add_argument("--N", type=_positive_ints, required=True,
+                    help="comma list, e.g. 2,4,8")
     parareal_options(sp)
     sp.add_argument("--repetitions", type=_positive_int, default=1)
     return p
@@ -261,15 +281,14 @@ def _run_sens_pipeline(args):
     traj = integrate(sys_, x0, grid, scheme=args.scheme)
     parallel = None
     if args.N:
-        parallel = PararealConfig(n_subintervals=int(args.N), tol=args.tol,
+        parallel = PararealConfig(n_subintervals=args.N, tol=args.tol,
                                   coarse_stride=args.stride)
-    series = sensitivity_series(sys_, traj, qoi, parallel=parallel,
-                                workers=args.workers)
-    return netlist, sys_, traj, qoi, series
+    return sensitivity_series(sys_, traj, qoi, parallel=parallel,
+                              workers=args.workers)
 
 
 def _cmd_sens(args) -> int:
-    _, _, _, _, series = _run_sens_pipeline(args)
+    series = _run_sens_pipeline(args)
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / "sensitivities.csv"
     series.write_csv(out)
@@ -280,7 +299,7 @@ def _cmd_sens(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _, _, _, _, series = _run_sens_pipeline(args)
+    series = _run_sens_pipeline(args)
     args.out.mkdir(parents=True, exist_ok=True)
     k = min(args.top, len(series.params))
     ranking = rank_parameters(series, k)
@@ -299,8 +318,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_bench(args) -> int:
     netlist = load_netlist(args.netlist)
     qoi = Qoi(_qoi_weights(netlist, args))
-    n_list = [int(x) for x in args.N.split(",")]
-    records, _ = run_bench(netlist, args.tm, qoi, n_list,
+    records, _ = run_bench(netlist, args.tm, qoi, args.N,
                            workers=args.workers, repetitions=args.repetitions,
                            stride=args.stride, tol=args.tol, scheme=args.scheme)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -63,6 +63,16 @@ def format_value(x: float) -> str:
     return repr(float(x))
 
 
+def _element_value(value) -> float:
+    """An R/L/C value: positive and finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"value {value} is not finite")
+    if value <= 0.0:
+        raise ValueError(f"nonpositive value {value}")
+    return value
+
+
 # --------------------------------------------------------------------------
 # waveforms and device models
 # --------------------------------------------------------------------------
@@ -229,11 +239,16 @@ class Netlist:
             raise KeyError(name) from None
 
     def with_element_value(self, name: str, value: float) -> "Netlist":
-        """Copy with one R/L/C element's value replaced (nominals re-derived)."""
+        """Copy with one R/L/C element's value replaced (nominals re-derived).
+
+        The value must be positive and finite, as on a netlist line."""
         old = self.element(name)
         if old.kind not in DIFFERENTIABLE_KINDS:
             raise ValueError(f"{name} is not an R/L/C element")
-        new = replace(old, value=float(value))
+        try:
+            new = replace(old, value=_element_value(value))
+        except ValueError as exc:
+            raise ValueError(f"{exc} for {name!r}") from None
         elements = tuple(new if e is old else e for e in self.elements)
         return replace(self, elements=elements,
                        params=_enumerate_params(elements, self.param_filter))
@@ -288,12 +303,9 @@ def _parse_element(tokens, line):
         raise NetlistError(f"{head!r} must be followed by {usage}, got "
                            f"{len(rest)} values", line)
     args = [parse_value(tok, line) for tok in rest]
-    if kind in DIFFERENTIABLE_KINDS:
-        if args[0] <= 0.0:
-            raise NetlistError(f"nonpositive value {args[0]} for {name!r}", line)
-        return Element(name, kind, (a, b), args[0])
     try:
-        value = _MODELS[form](*args)
+        value = (_element_value(*args) if kind in DIFFERENTIABLE_KINDS
+                 else _MODELS[form](*args))
     except ValueError as exc:
         raise NetlistError(f"{exc} for {name!r}", line) from None
     return Element(name, kind, (a, b), value)

@@ -87,6 +87,14 @@ class TestRcAnalytic:
                                           initial_state=discharged_rc_start)
             assert s[j] == pytest.approx(fd, rel=1e-3, abs=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-5, 1.0, 2.0, float("nan")])
+    def test_fd_step_outside_unit_interval_rejected(self, delta):
+        """A relative step of 1 or more would perturb a parameter to zero or
+        below; such a step raises before any forward solve."""
+        nl = parse_netlist(RC_TEXT)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            finite_difference_series(nl, nl.params[0], delta, Qoi("out"), [1.0])
+
 
 class TestAdjointStructure:
     def test_terminal_condition_is_zero(self):

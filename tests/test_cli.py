@@ -176,7 +176,8 @@ class TestExitCodes:
         ("sens", "--every"), ("spectrum", "--every"), ("sens", "--workers"),
         ("spectrum", "--stride"), ("bench", "--workers"), ("bench", "--stride"),
         ("bench", "--repetitions"), ("spectrum", "--segment"),
-        ("spectrum", "--top"),
+        ("spectrum", "--top"), ("sens", "--N"), ("spectrum", "--N"),
+        ("bench", "--N"),
     ])
     @pytest.mark.parametrize("value", ["0", "-50", "x"])
     def test_non_positive_integer_rejected_at_parse_time(self, monkeypatch,
@@ -188,6 +189,47 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a positive integer" in err
+
+    @pytest.mark.parametrize("value", ["2,0", "2,,4", "4,x", "2,-4"])
+    def test_bad_subinterval_list_rejected_at_parse_time(self, monkeypatch,
+                                                         capsys, value):
+        monkeypatch.setitem(cli._COMMANDS, "bench", None)   # never dispatched
+        argv = ["bench", "builtin:half_wave_rectifier", "--tm", "0.01",
+                "--N", value]
+        assert main(argv) == 1
+        assert "argument --N: must be a positive integer" \
+            in capsys.readouterr().err
+
+    def test_subinterval_counts_parsed(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["bench", "builtin:half_wave_rectifier",
+                                  "--tm", "0.01", "--N", "2,4,8"])
+        assert args.N == [2, 4, 8]
+        args = parser.parse_args(["sens", "builtin:half_wave_rectifier",
+                                  "--N", "4"])
+        assert args.N == 4
+
+    @pytest.mark.parametrize("command", ["sens", "spectrum"])
+    @pytest.mark.parametrize("value", ["0.08", "0.1:0.08", "nan:1", "0:inf",
+                                       "a:b", "0:0.05:0.1", ":"])
+    def test_bad_window_rejected_at_parse_time(self, monkeypatch, capsys,
+                                               command, value):
+        monkeypatch.setitem(cli._COMMANDS, command, None)   # never dispatched
+        argv = [command, "builtin:half_wave_rectifier", "--window", value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --window: must be t_start:t_end with finite " \
+            "t_start <= t_end" in err
+        assert "Traceback" not in err
+
+    def test_window_parsed(self):
+        parser = cli.build_parser()
+        for text, window in (("0.08:0.1", (0.08, 0.1)),
+                             ("0.09:0.09", (0.09, 0.09)),
+                             ("-1e-3:2e-3", (-1e-3, 2e-3))):
+            args = parser.parse_args(["sens", "builtin:half_wave_rectifier",
+                                      f"--window={text}"])
+            assert args.window == window
 
     @pytest.mark.parametrize("command", ["sens", "spectrum", "bench"])
     @pytest.mark.parametrize("value", ["-1", "nan", "inf", "x"])

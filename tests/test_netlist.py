@@ -1,9 +1,13 @@
 """Netlist parsing, value suffixes, builtin fixtures, round-trips."""
 
-import pytest
-from hypothesis import given, strategies as st
+import math
+import re
 
-from pintsens.netlist import (DiodeModel, Element, Netlist, NetlistError,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pintsens.netlist import (DcWave, DiodeModel, Element, Netlist,
+                              NetlistError, PwmWave, SineWave, SwitchModel,
                               parse_value, parse_netlist, serialize_netlist,
                               builtin_circuit, BUILTIN_CIRCUITS)
 
@@ -15,6 +19,13 @@ C1 out 0 1e-6
 .tran 1e-5 5e-3
 .end
 """
+
+# what an element line with too few or too many values is told to follow,
+# per form
+USAGE = {"R": "value", "L": "value", "C": "value", "DC": "[level]",
+         "SINE": "amplitude frequency [phase]",
+         "PWM": "period duty [rise [fall [high [low [offset]]]]]",
+         "D": "[i_s [n [v_t]]]", "S": "r_on r_off period duty [ramp [offset]]"}
 
 
 class TestParseValue:
@@ -102,13 +113,25 @@ class TestParsing:
         "V1 in 0 PWM 1e-5 0.5 0 0 1 0 0 9",
         "D1 in out 1e-12 1 0.02585 4",
         "S1 in out 0.1 1e6 1e-5 0.5 1e-8 0 3",
+        "L1 in out 1e-3 2",
+        "C2 in out",
+        "I1 in 0 SINE 1",
+        "I1 in 0 DC 1 2",
+        "V1 in 0 PWM 1e-5",
+        "S1 in out 0.1 1e6 1e-5",
     ])
     def test_values_beyond_the_grammar_rejected(self, line):
         kind = line[0]
+        form = line.split()[3] if kind in "VI" else kind
         old = "V1 in 0 DC 1" if kind == "V" else "R1 in out 1e3"
         with pytest.raises(NetlistError, match="followed by") as exc:
             parse_netlist(RC_TEXT.replace(old, line))
         assert exc.value.line == (2 if kind == "V" else 3)
+        head = " ".join(line.split()[:4 if kind in "VI" else 3])
+        n_values = len(line.split()) - len(head.split())
+        assert str(exc.value) == (f"line {exc.value.line}: {head!r} must be "
+                                  f"followed by {USAGE[form]}, got "
+                                  f"{n_values} values")
 
     @pytest.mark.parametrize("line", ["V1 in 0 R 5", "V1 in 0 D 1e-5 0.5",
                                       "V1 in 0 S 0.1 1e6 1e-5 0.5"])
@@ -156,6 +179,16 @@ class TestParsing:
         assert names == sorted(names, key=str.lower) == ["C1", "R1"]
         assert [p.id for p in nl.params] == [0, 1]
 
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+    def test_with_element_value_rejects_what_the_parser_rejects(self, value):
+        nl = builtin_circuit("half_wave_rectifier")
+        with pytest.raises(ValueError, match="for 'Rload'"):
+            nl.with_element_value("Rload", value)
+        with pytest.raises(ValueError, match="not an R/L/C element"):
+            nl.with_element_value("D1", 1.0)
+        with pytest.raises(KeyError):
+            nl.with_element_value("R9", 1.0)
+
     def test_with_element_value_renumbers_consistently(self):
         nl = parse_netlist(RC_TEXT)
         bumped = nl.with_element_value("R1", 2e3)
@@ -180,6 +213,57 @@ class TestParsing:
         first, second = (Element(name, "R", ("a", "0"), value)
                          for name, value in (("R1", 1.0), ("r1", 2.0)))
         assert Netlist("dup", ("a", "0"), (first, second), ()).element("R1") is first
+
+
+# (model, values, message): an out-of-range value of each range check
+OUT_OF_RANGE = [
+    (SineWave, (1.0, 0.0), "nonpositive frequency"),
+    (SineWave, (1.0, -50.0, 0.5), "nonpositive frequency"),
+    (PwmWave, (0.0, 0.5), "nonpositive PWM period"),
+    (PwmWave, (-1e-5, 0.5), "nonpositive PWM period"),
+    (PwmWave, (1e-5, 1.5), "duty outside [0, 1]"),
+    (PwmWave, (1e-5, -0.1), "duty outside [0, 1]"),
+    (PwmWave, (1e-5, 0.5, -1e-6), "negative rise/fall"),
+    (PwmWave, (1e-5, 0.5, 0.0, -1e-6), "negative rise/fall"),
+    (DiodeModel, (0.0,), "nonpositive diode model value"),
+    (DiodeModel, (1e-12, -1.0), "nonpositive diode model value"),
+    (DiodeModel, (1e-12, 1.0, 0.0), "nonpositive diode model value"),
+    (SwitchModel, (0.0, 1e6, 1e-5, 0.5), "nonpositive switch resistance"),
+    (SwitchModel, (0.1, -1.0, 1e-5, 0.5), "nonpositive switch resistance"),
+    (SwitchModel, (0.1, 0.05, 1e-5, 0.5), "R_off must exceed R_on"),
+    (SwitchModel, (0.1, 0.1, 1e-5, 0.5), "R_off must exceed R_on"),
+    (SwitchModel, (0.1, 1e6, 0.0, 0.5), "nonpositive switch period"),
+    (SwitchModel, (0.1, 1e6, 1e-5, 1.5), "duty outside [0, 1]"),
+]
+LINE_OF = {SineWave: "V1 in 0 SINE", PwmWave: "V1 in 0 PWM",
+           DiodeModel: "D1 in out", SwitchModel: "S1 in out"}
+
+
+class TestModelRanges:
+    @pytest.mark.parametrize("model, values, message", OUT_OF_RANGE)
+    def test_built_directly(self, model, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model(*values)
+
+    @pytest.mark.parametrize("model, values, message", OUT_OF_RANGE)
+    def test_parsed_names_the_element_and_line(self, model, values, message):
+        line = " ".join([LINE_OF[model], *map(repr, values)])
+        kind = line[0]
+        old = "V1 in 0 DC 1" if kind == "V" else "R1 in out 1e3"
+        with pytest.raises(NetlistError) as exc:
+            parse_netlist(RC_TEXT.replace(old, line))
+        lineno = 2 if kind == "V" else 3
+        assert str(exc.value) == f"line {lineno}: {message} for '{kind}1'"
+
+    @pytest.mark.parametrize("model, values", [
+        (SineWave, (1.0, math.nan)), (PwmWave, (math.nan, 0.5)),
+        (PwmWave, (1e-5, math.nan)), (PwmWave, (1e-5, 0.5, math.nan)),
+        (DiodeModel, (math.nan,)), (SwitchModel, (math.nan, 1e6, 1e-5, 0.5)),
+        (SwitchModel, (0.1, 1e6, math.nan, 0.5)),
+    ])
+    def test_nan_rejected(self, model, values):
+        with pytest.raises(ValueError):
+            model(*values)
 
 
 class TestBuiltins:
@@ -233,3 +317,41 @@ def test_suffix_matches_exponent_form(suffix, mantissa):
              "k": 1e3, "meg": 1e6, "g": 1e9}[suffix]
     assert parse_value(f"{mantissa!r}{suffix}") == pytest.approx(
         mantissa * scale, rel=1e-12)
+
+
+# per form: its model, how few and how many values the grammar allows, and
+# a strategy per value that keeps it inside the model's range checks
+_ANY = st.floats(min_value=-1e15, max_value=1e15)
+_POSITIVE = st.floats(min_value=1e-15, max_value=1e15)
+_NONNEGATIVE = st.floats(min_value=0.0, max_value=1e15)
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_FORMS = {
+    "DC": (DcWave, 0, 1, [_ANY]),
+    "SINE": (SineWave, 2, 3, [_ANY, _POSITIVE, _ANY]),
+    "PWM": (PwmWave, 2, 7, [_POSITIVE, _UNIT, _NONNEGATIVE, _NONNEGATIVE,
+                            _ANY, _ANY, _ANY]),
+    "D": (DiodeModel, 0, 3, [_POSITIVE] * 3),
+    "S": (SwitchModel, 4, 6, [st.floats(min_value=1e-6, max_value=1.0),
+                              st.floats(min_value=2.0, max_value=1e12),
+                              _POSITIVE, _UNIT, _NONNEGATIVE, _ANY]),
+}
+
+
+@pytest.mark.parametrize("form, n_values", [
+    (form, n) for form, (_, fewest, most, _) in _FORMS.items()
+    for n in range(fewest, most + 1)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_form_round_trips(form, n_values, data):
+    model, _, _, strategies = _FORMS[form]
+    values = [data.draw(s) for s in strategies[:n_values]]
+    words = " ".join(map(repr, values))
+    if form in ("D", "S"):
+        name = f"{form}1"
+        lines = ["V1 a 0 DC 1", f"{name} a b {words}", "R1 b 0 1"]
+    else:
+        name = data.draw(st.sampled_from(["V1", "I1"]))
+        lines = [f"{name} a 0 {form} {words}", "R1 a 0 1"]
+    nl = parse_netlist("\n".join(["* round trip", *lines, ".end"]))
+    assert nl.element(name).value == model(*values)
+    assert parse_netlist(serialize_netlist(nl)) == nl
