@@ -273,8 +273,8 @@ def _form(model):
     return " ".join(names), fewest, fewest + len(optional)
 
 
-# the values GRAMMAR.md allows after an element's nodes, or after the
-# waveform name of a source
+# (usage, fewest, most) of the values GRAMMAR.md allows after an element's
+# nodes, or after the waveform name of a source
 _FORMS = {**dict.fromkeys(DIFFERENTIABLE_KINDS, ("value", 1, 1)),
           **{form: _form(model) for form, model in _MODELS.items()}}
 
@@ -400,8 +400,7 @@ def _validate(nl, touches):
         except KeyError:
             raise NetlistError(f".params references unknown element {name!r}") from None
         if e.kind not in DIFFERENTIABLE_KINDS:
-                raise NetlistError(
-                    f".params element {name!r} is not an R/L/C element")
+            raise NetlistError(f".params element {name!r} is not an R/L/C element")
 
 
 def serialize_netlist(nl: Netlist) -> str:
